@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <utility>
 
 #include "dssp/protocol.h"
@@ -194,17 +195,26 @@ StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendSingleLocked(
     return response.status();
   }
   if (observer_) observer_(member.node, true);
+  bool delivered = false;
   if (service::PeekType(*response) == MessageType::kInvalidateResponse) {
     auto ack = service::DecodeInvalidateResponse(*response);
-    DSSP_CHECK(ack.ok());
-    ++result.frames;
-    result.entries += ack->entries_invalidated;
-    delivered_notices_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // The member answered but rejected the frame (kError): deterministic,
-    // so retrying is pointless — drop it and keep the queue moving. The
-    // member is now permanently behind by this notice; Dropped() exposes
-    // that to the router so stale reads stop trusting its backlog count.
+    if (ack.ok()) {
+      delivered = true;
+      ++result.frames;
+      result.entries += ack->entries_invalidated;
+      delivered_notices_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // A seal-valid ack that does not decode comes from a buggy or
+      // version-skewed peer, not the wire: settle it like a refusal.
+      malformed_acks_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (!delivered) {
+    // The member answered but rejected the frame (kError), or its ack was
+    // unreadable: deterministic, so retrying is pointless — drop it and
+    // keep the queue moving. The member is now permanently behind by this
+    // notice; Dropped() exposes that to the router so stale reads stop
+    // trusting its backlog count.
     dropped_frames_.fetch_add(1, std::memory_order_relaxed);
     ++member.dropped;
   }
@@ -235,10 +245,19 @@ StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendBatchLocked(
   batched_notices_.fetch_add(count, std::memory_order_relaxed);
 
   DrainResult result;
+  std::optional<InvalidateBatchResponse> acks;
   if (service::PeekType(*response) == MessageType::kInvalidateBatchResponse) {
-    auto acks = service::DecodeInvalidateBatchResponse(*response);
-    DSSP_CHECK(acks.ok());
-    DSSP_CHECK(acks->acks.size() == count);
+    auto decoded = service::DecodeInvalidateBatchResponse(*response);
+    if (decoded.ok() && decoded->acks.size() == count) {
+      acks = std::move(*decoded);
+    } else {
+      // An undecodable ack list, or one that does not settle exactly the
+      // notices sent, comes from a buggy or version-skewed peer: which
+      // notices it applied is unknowable, so the whole batch is dropped.
+      malformed_acks_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (acks.has_value()) {
     // Partial-ack: each notice settles on its own — an accepted one counts
     // as delivered, a refused one as dropped (deterministic refusal, never
     // retried) — so one bad notice cannot poison the batch around it.
@@ -254,7 +273,8 @@ StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendBatchLocked(
     }
   } else {
     // The member refused the whole envelope (malformed batch — defensive;
-    // we built it ourselves). Deterministic, so drop all of it.
+    // we built it ourselves) or answered with a malformed ack list.
+    // Deterministic, so drop all of it.
     dropped_frames_.fetch_add(count, std::memory_order_relaxed);
     member.dropped += count;
   }
@@ -346,6 +366,7 @@ BusStats InvalidationBus::stats() const {
   out.unreachable_failures =
       unreachable_failures_.load(std::memory_order_relaxed);
   out.wire_retries = wire_retries_.load(std::memory_order_relaxed);
+  out.malformed_acks = malformed_acks_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -134,6 +134,9 @@ struct BusStats {
   uint64_t dropped_frames = 0;      // Refused notices, removed from queues.
   uint64_t unreachable_failures = 0;  // Wire budget exhausted; frames kept.
   uint64_t wire_retries = 0;        // RetryingClient retries, all members.
+  // Seal-valid acks that did not decode, or batch acks whose count differs
+  // from the batch; their notices are counted in dropped_frames.
+  uint64_t malformed_acks = 0;
 };
 
 // Fans each exposure-gated UpdateNotice out to every member node over the
@@ -225,6 +228,7 @@ class InvalidationBus {
   std::atomic<uint64_t> dropped_frames_{0};
   std::atomic<uint64_t> unreachable_failures_{0};
   std::atomic<uint64_t> wire_retries_{0};
+  std::atomic<uint64_t> malformed_acks_{0};
 };
 
 }  // namespace dssp::cluster

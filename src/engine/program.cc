@@ -1,7 +1,6 @@
 #include "engine/program.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -290,9 +289,20 @@ class QueryProgram::Compiler {
           plan.hash_join = true;
           plan.build_col = s_col.coord.col;
           plan.probe_coord = other.coord;
+          plan.index_join = !plan.probe && IsUniqueColumn(s_col.coord);
         }
       }
     }
+    prog_.index_outer_ = prog_.slots_.size() == 2 && !prog_.slots_[0].probe &&
+                         prog_.slots_[1].hash_join &&
+                         IsUniqueColumn(Coord{1, prog_.slots_[1].build_col});
+  }
+
+  // True if the catalog guarantees at most one row per non-NULL value of
+  // the column (single-column primary key or UNIQUE).
+  bool IsUniqueColumn(const Coord& coord) const {
+    const catalog::TableSchema& schema = *schemas_[coord.slot];
+    return schema.IsUniqueColumn(schema.columns()[coord.col].name);
   }
 
   std::string OutputName(const sql::SelectItem& item) const {
@@ -406,8 +416,21 @@ StatusOr<QueryProgram> QueryProgram::Compile(const catalog::Catalog& catalog,
 }
 
 bool QueryProgram::uses_full_scan() const {
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    const SlotPlan& plan = slots_[s];
+    if (plan.probe || plan.index_join) continue;
+    // The index-driven outer replaces slot 0's scan only when slot 1 is
+    // itself probed; otherwise one of the two is scanned either way.
+    if (s == 0 && index_outer_ && slots_[1].probe) continue;
+    return true;
+  }
+  return false;
+}
+
+bool QueryProgram::uses_index_join() const {
+  if (index_outer_) return true;
   for (const SlotPlan& plan : slots_) {
-    if (!plan.probe) return true;
+    if (plan.index_join) return true;
   }
   return false;
 }
@@ -417,13 +440,16 @@ bool QueryProgram::uses_full_scan() const {
 // ---------------------------------------------------------------------------
 
 StatusOr<QueryResult> QueryProgram::Execute(
-    const Database& db, const std::vector<sql::Value>& params) const {
+    const Database& db, const std::vector<sql::Value>& params,
+    std::vector<JoinKind>* join_kinds) const {
   DSSP_CHECK(params.size() == static_cast<size_t>(num_params_));
-  return ExecuteImpl(db, params);
+  if (join_kinds != nullptr) join_kinds->clear();
+  return ExecuteImpl(db, params, join_kinds);
 }
 
 StatusOr<QueryResult> QueryProgram::ExecuteImpl(
-    const Database& db, const std::vector<sql::Value>& params) const {
+    const Database& db, const std::vector<sql::Value>& params,
+    std::vector<JoinKind>* join_kinds) const {
   // Resolve the (stable) Table objects for this database.
   std::vector<const Table*> tables;
   tables.reserve(slots_.size());
@@ -524,63 +550,146 @@ StatusOr<QueryResult> QueryProgram::ExecuteImpl(
     return true;
   };
 
+  // Slot s's single-table filters on one row: the index edges test the rows
+  // an index hands them one at a time instead of compacting a selection.
+  const auto filters_pass = [&](size_t s, uint32_t row_slot) {
+    const Row& row = tables[s]->RowAt(row_slot);
+    for (const Filter& f : slots_[s].filters) {
+      const sql::Value& rhs =
+          f.col_vs_col ? row[f.rhs_col] : f.value.Get(params);
+      if (!CompareValues(row[f.col], f.op, rhs)) return false;
+    }
+    return true;
+  };
+
+  const auto record = [&](JoinKind kind) {
+    if (join_kinds != nullptr) join_kinds->push_back(kind);
+  };
+
   if (constants_pass) {
     SelectionVector sel;
-    slot_candidates(0, &sel);
-    if (width == 1) {
-      tuples = std::move(sel);
-    } else {
-      tuples.reserve(sel.size() * width);
-      for (const uint32_t slot : sel) {
-        tuples.push_back(slot);
-        tuples.resize(tuples.size() + (width - 1), 0);
+    // Slot 1's selection, computed before slot 0 when the index-driven
+    // outer edge is compiled in.
+    SelectionVector inner;
+    if (index_outer_) slot_candidates(1, &inner);
+    size_t first_stage = 1;
+    if (index_outer_ && inner.size() < tables[0]->num_rows()) {
+      // Index-driven outer: gather slot-0 rows through the index on its
+      // join column, one lookup per inner row. The inner column is unique,
+      // so each outer row pairs with at most one inner row; sorting the
+      // pairs by outer slot therefore restores the ascending scan order the
+      // hash join emits its tuples in. NULL keys never join, as in the
+      // hash build.
+      const SlotPlan& plan = slots_[1];
+      std::vector<std::pair<uint32_t, uint32_t>> pairs;
+      for (const uint32_t in_slot : inner) {
+        const sql::Value& key = tables[1]->RowAt(in_slot)[plan.build_col];
+        if (key.is_null()) continue;
+        tables[0]->ForEachSlotWithValue(
+            plan.probe_coord.col, key, [&](size_t out_slot) {
+              pairs.emplace_back(static_cast<uint32_t>(out_slot), in_slot);
+            });
       }
-      for (size_t s = 1; s < width; ++s) {
-        const SlotPlan& plan = slots_[s];
+      std::sort(pairs.begin(), pairs.end());
+      tuples.reserve(pairs.size() * 2);
+      for (const auto& [out_slot, in_slot] : pairs) {
+        const uint32_t tuple[2] = {out_slot, in_slot};
+        if (filters_pass(0, out_slot) && residuals_pass(plan, tuple)) {
+          tuples.insert(tuples.end(), tuple, tuple + 2);
+        }
+      }
+      record(JoinKind::kIndexOuter);
+      first_stage = 2;
+    } else {
+      slot_candidates(0, &sel);
+      if (width == 1) {
+        tuples = std::move(sel);
+      } else {
+        tuples.reserve(sel.size() * width);
+        for (const uint32_t slot : sel) {
+          tuples.push_back(slot);
+          tuples.resize(tuples.size() + (width - 1), 0);
+        }
+      }
+    }
+    for (size_t s = first_stage; s < width; ++s) {
+      const SlotPlan& plan = slots_[s];
+      const Table& table = *tables[s];
+      std::vector<uint32_t> next;
+      std::vector<uint32_t> ext(width, 0);
+      const size_t num_tuples = tuples.size() / width;
+      if (plan.index_join && num_tuples <= table.num_rows()) {
+        // Index nested loop: probe slot s's unique join column per tuple
+        // instead of selecting and hashing the whole table. At most one row
+        // matches each tuple, so the output order is the tuple order — the
+        // same order the hash join yields.
+        for (size_t t = 0; t < num_tuples; ++t) {
+          const uint32_t* tuple = &tuples[t * width];
+          const sql::Value& probe =
+              tables[plan.probe_coord.slot]->RowAt(
+                  tuple[plan.probe_coord.slot])[plan.probe_coord.col];
+          if (probe.is_null()) continue;
+          table.ForEachSlotWithValue(
+              plan.build_col, probe, [&](size_t row_slot) {
+                const uint32_t row = static_cast<uint32_t>(row_slot);
+                if (!filters_pass(s, row)) return;
+                std::copy(tuple, tuple + width, ext.begin());
+                ext[s] = row;
+                if (residuals_pass(plan, ext.data())) {
+                  next.insert(next.end(), ext.begin(), ext.end());
+                }
+              });
+        }
+        record(JoinKind::kIndexNestedLoop);
+        tuples = std::move(next);
+        continue;
+      }
+      if (s == 1 && index_outer_) {
+        sel = std::move(inner);
+      } else {
         slot_candidates(s, &sel);
-        std::vector<uint32_t> next;
-        std::vector<uint32_t> ext(width, 0);
-        const size_t num_tuples = tuples.size() / width;
-        if (plan.hash_join) {
-          // Identical container, reserve, insertion and probe sequence as
-          // the interpreter — bucket iteration order is part of the
-          // bit-identical contract for multi-match joins.
-          std::unordered_multimap<uint64_t, size_t> build;
-          build.reserve(sel.size());
-          for (const uint32_t row_slot : sel) {
-            const sql::Value& v = tables[s]->RowAt(row_slot)[plan.build_col];
-            if (v.is_null()) continue;
-            build.emplace(v.Hash(), row_slot);
-          }
-          for (size_t t = 0; t < num_tuples; ++t) {
-            const uint32_t* tuple = &tuples[t * width];
-            const sql::Value& probe =
-                tables[plan.probe_coord.slot]->RowAt(
-                    tuple[plan.probe_coord.slot])[plan.probe_coord.col];
-            if (probe.is_null()) continue;
-            auto [begin, end] = build.equal_range(probe.Hash());
-            for (auto it = begin; it != end; ++it) {
-              std::copy(tuple, tuple + width, ext.begin());
-              ext[s] = static_cast<uint32_t>(it->second);
-              if (residuals_pass(plan, ext.data())) {
-                next.insert(next.end(), ext.begin(), ext.end());
-              }
-            }
-          }
-        } else {
-          for (size_t t = 0; t < num_tuples; ++t) {
-            const uint32_t* tuple = &tuples[t * width];
-            for (const uint32_t row_slot : sel) {
-              std::copy(tuple, tuple + width, ext.begin());
-              ext[s] = row_slot;
-              if (residuals_pass(plan, ext.data())) {
-                next.insert(next.end(), ext.begin(), ext.end());
-              }
+      }
+      if (plan.hash_join) {
+        // Identical container, reserve, insertion and probe sequence as
+        // the interpreter — bucket iteration order is part of the
+        // bit-identical contract for multi-match joins.
+        std::unordered_multimap<uint64_t, size_t> build;
+        build.reserve(sel.size());
+        for (const uint32_t row_slot : sel) {
+          const sql::Value& v = table.RowAt(row_slot)[plan.build_col];
+          if (v.is_null()) continue;
+          build.emplace(v.Hash(), row_slot);
+        }
+        for (size_t t = 0; t < num_tuples; ++t) {
+          const uint32_t* tuple = &tuples[t * width];
+          const sql::Value& probe =
+              tables[plan.probe_coord.slot]->RowAt(
+                  tuple[plan.probe_coord.slot])[plan.probe_coord.col];
+          if (probe.is_null()) continue;
+          auto [begin, end] = build.equal_range(probe.Hash());
+          for (auto it = begin; it != end; ++it) {
+            std::copy(tuple, tuple + width, ext.begin());
+            ext[s] = static_cast<uint32_t>(it->second);
+            if (residuals_pass(plan, ext.data())) {
+              next.insert(next.end(), ext.begin(), ext.end());
             }
           }
         }
-        tuples = std::move(next);
+        record(JoinKind::kHash);
+      } else {
+        for (size_t t = 0; t < num_tuples; ++t) {
+          const uint32_t* tuple = &tuples[t * width];
+          for (const uint32_t row_slot : sel) {
+            std::copy(tuple, tuple + width, ext.begin());
+            ext[s] = row_slot;
+            if (residuals_pass(plan, ext.data())) {
+              next.insert(next.end(), ext.begin(), ext.end());
+            }
+          }
+        }
+        record(JoinKind::kNestedLoop);
       }
+      tuples = std::move(next);
     }
   }
 
@@ -624,37 +733,61 @@ StatusOr<QueryResult> QueryProgram::ExecuteImpl(
     return QueryResult(out_names_, std::move(rows), ordered_);
   }
 
-  // ----- Aggregation tail (same grouping container, key encoding, and
-  // iteration order as the interpreter). -----
+  // ----- Aggregation tail. Each tuple's group key (the concatenated
+  // EncodeForKey bytes of its GROUP BY values) is built in one reused buffer
+  // and looked up in a hash map, so no string is allocated per tuple. Groups
+  // are then emitted in ascending byte order of that key, which is exactly
+  // the iteration order of the interpreter's std::map<std::string, Group>.
+  // Int 2 and double 2.0 encode differently, so they stay separate groups,
+  // as in the interpreter. -----
   struct Group {
-    Row key;
-    std::vector<const uint32_t*> tuples;
+    const std::string* key;  // Owned by group_ids (node keys are stable).
+    size_t first_tuple;      // Supplies the GROUP BY values.
+    size_t size = 0;
+    size_t begin = 0;  // Offset of the group's tuples in `members`.
   };
-  std::map<std::string, Group> groups;
+  std::unordered_map<std::string, size_t> group_ids;
+  std::vector<Group> groups;
+  std::vector<size_t> group_of(num_tuples);
+  std::string key;
   for (size_t t = 0; t < num_tuples; ++t) {
     const uint32_t* tuple = &tuples[t * width];
-    Row key;
-    std::string encoded;
+    key.clear();
     for (const Coord& col : group_cols_) {
-      const sql::Value& v =
-          tables[col.slot]->RowAt(tuple[col.slot])[col.col];
-      key.push_back(v);
-      encoded += v.EncodeForKey();
+      tables[col.slot]->RowAt(tuple[col.slot])[col.col].AppendKey(&key);
     }
-    Group& group = groups[encoded];
-    if (group.tuples.empty()) group.key = std::move(key);
-    group.tuples.push_back(tuple);
+    const auto [it, inserted] = group_ids.try_emplace(key, groups.size());
+    if (inserted) groups.push_back(Group{&it->first, t});
+    group_of[t] = it->second;
+    ++groups[it->second].size;
   }
-  const bool global = group_cols_.empty();
-  if (global && groups.empty()) {
-    groups.emplace("", Group{});
+  if (group_cols_.empty() && groups.empty()) {
+    // SQL: a global aggregate over empty input still yields one row.
+    groups.push_back(Group{&group_ids.try_emplace("", 0).first->first, 0});
   }
+  // Each group's tuples, contiguous and in tuple order (a counting sort;
+  // `size` is recounted as the fill cursor).
+  std::vector<size_t> members(num_tuples);
+  size_t offset = 0;
+  for (Group& group : groups) {
+    group.begin = offset;
+    offset += group.size;
+    group.size = 0;
+  }
+  for (size_t t = 0; t < num_tuples; ++t) {
+    Group& group = groups[group_of[t]];
+    members[group.begin + group.size++] = t;
+  }
+  std::vector<size_t> group_order(groups.size());
+  std::iota(group_order.begin(), group_order.end(), size_t{0});
+  std::sort(group_order.begin(), group_order.end(), [&](size_t a, size_t b) {
+    return *groups[a].key < *groups[b].key;
+  });
 
   const auto compute_aggregate = [&](const AggItem& item,
-                                     const std::vector<const uint32_t*>&
-                                         group_tuples) -> sql::Value {
+                                     const Group& group) -> sql::Value {
     if (item.func == sql::AggregateFunc::kCount && item.star) {
-      return sql::Value(static_cast<int64_t>(group_tuples.size()));
+      return sql::Value(static_cast<int64_t>(group.size));
     }
     DSSP_CHECK(item.has_col);
     int64_t count = 0;
@@ -663,7 +796,8 @@ StatusOr<QueryResult> QueryProgram::ExecuteImpl(
     bool saw_double = false;
     std::optional<sql::Value> min_v;
     std::optional<sql::Value> max_v;
-    for (const uint32_t* tuple : group_tuples) {
+    for (size_t i = group.begin; i < group.begin + group.size; ++i) {
+      const uint32_t* tuple = &tuples[members[i] * width];
       const sql::Value& v =
           tables[item.coord.slot]->RowAt(
               tuple[item.coord.slot])[item.coord.col];
@@ -712,14 +846,20 @@ StatusOr<QueryResult> QueryProgram::ExecuteImpl(
   };
 
   std::vector<Row> rows;
-  for (auto& [encoded, group] : groups) {
+  rows.reserve(groups.size());
+  for (const size_t g : group_order) {
+    const Group& group = groups[g];
     Row row;
+    row.reserve(agg_items_.size());
     for (const AggItem& item : agg_items_) {
       if (item.func == sql::AggregateFunc::kNone) {
-        row.push_back(group.key[static_cast<size_t>(item.group_index)]);
+        const Coord& col =
+            group_cols_[static_cast<size_t>(item.group_index)];
+        const uint32_t* tuple = &tuples[group.first_tuple * width];
+        row.push_back(tables[col.slot]->RowAt(tuple[col.slot])[col.col]);
         continue;
       }
-      row.push_back(compute_aggregate(item, group.tuples));
+      row.push_back(compute_aggregate(item, group));
     }
     rows.push_back(std::move(row));
   }

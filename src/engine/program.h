@@ -18,11 +18,12 @@ class Database;
 // A SELECT template compiled once — at RegisterApp / AddQueryTemplate time —
 // into a direct-coordinate op sequence: the index-probe vs full-scan choice,
 // pre-resolved (slot, column) coordinates, typed filter kernels over the
-// Table's columnar sidecar (engine/batch.h), hash-join build/probe plans,
-// the projection map, and the aggregate / ORDER BY / LIMIT tail. Execution
-// binds parameters into value slots and runs the ops with zero name
-// resolution, zero AST walking, and no per-row sql::Value materialization on
-// the filter path.
+// Table's columnar sidecar (engine/batch.h), join edges (a hash join, or an
+// index join through a unique column's hash index when row counts favour
+// it), the projection map, and the aggregate / ORDER BY / LIMIT tail.
+// Execution binds parameters into value slots and runs the ops with zero
+// name resolution, zero AST walking, and no per-row sql::Value
+// materialization on the filter path.
 //
 // Contract: for every parameter binding, Execute() is bit-identical to
 // ExecuteSelect(db, BindParameters(stmt, params)) — same rows in the same
@@ -43,17 +44,35 @@ class QueryProgram {
   static StatusOr<QueryProgram> Compile(const catalog::Catalog& catalog,
                                         const sql::SelectStatement& stmt);
 
+  // How one join stage — FROM slot s >= 1 joined onto the tuples built from
+  // slots 0..s-1 — was executed.
+  enum class JoinKind : uint8_t {
+    kNestedLoop,       // No equi-join conjunct: every candidate pair.
+    kHash,             // Hash build over slot s's selection, probe per tuple.
+    kIndexNestedLoop,  // Per tuple, a probe of slot s's unique-column index.
+    kIndexOuter,       // Slot 1's selection first, slot 0 gathered through
+                       // its join-column index (two-table joins only).
+  };
+
   // Executes against `db` (built from the catalog the program was compiled
   // with) binding `params` positionally. `params.size()` must equal
-  // num_params().
-  StatusOr<QueryResult> Execute(const Database& db,
-                                const std::vector<sql::Value>& params) const;
+  // num_params(). When `join_kinds` is non-null it receives the edge each
+  // join stage ran, in stage order (empty when a constant conjunct is false
+  // and no stage runs).
+  StatusOr<QueryResult> Execute(
+      const Database& db, const std::vector<sql::Value>& params,
+      std::vector<JoinKind>* join_kinds = nullptr) const;
 
   int num_params() const { return num_params_; }
 
-  // True if any FROM slot is accessed by full scan (no equality index
-  // probe) — the "scan-heavy" class the vectorized kernels accelerate most.
+  // True if any FROM slot is read by full scan: neither an equality index
+  // probe nor an index join edge serves it — the "scan-heavy" class the
+  // vectorized kernels accelerate most.
   bool uses_full_scan() const;
+
+  // True if some join stage can run as an index edge (kIndexNestedLoop or
+  // kIndexOuter); whether it does is decided per execution by row counts.
+  bool uses_index_join() const;
 
   // Number of FROM slots (tables joined).
   size_t num_slots() const { return slots_.size(); }
@@ -113,6 +132,10 @@ class QueryProgram {
     bool hash_join = false;
     uint32_t build_col = 0;  // Join column in this slot.
     Coord probe_coord;       // Join column in an earlier slot.
+    // build_col is unique in this table and there is no probe: the stage
+    // may probe the table's own column index per tuple instead of hashing
+    // the selection.
+    bool index_join = false;
     // Conjuncts that become evaluable at this stage, original order
     // (includes the hash-join equi conjunct: re-checked per match, exactly
     // like the interpreter does on hash collisions).
@@ -151,11 +174,15 @@ class QueryProgram {
   class Compiler;  // Implements Compile(); mirrors the interpreter's binder.
 
   StatusOr<QueryResult> ExecuteImpl(
-      const Database& db, const std::vector<sql::Value>& params) const;
+      const Database& db, const std::vector<sql::Value>& params,
+      std::vector<JoinKind>* join_kinds) const;
 
   // --- Program (immutable after Compile). ---
   int num_params_ = 0;
   std::vector<SlotPlan> slots_;
+  // Two-table join, slot 0 full scan, slot 1's join column unique: slot 0
+  // may be gathered through its join-column index from slot 1's selection.
+  bool index_outer_ = false;
   std::vector<ConstantConjunct> constants_;
   std::vector<DeferredTypeCheck> deferred_checks_;
   // LIMIT: resolved at compile for literals; params re-validated per run.

@@ -10,7 +10,7 @@ namespace {
 
 std::string EncodeRow(const Row& row) {
   std::string out;
-  for (const sql::Value& v : row) out += v.EncodeForKey();
+  for (const sql::Value& v : row) v.AppendKey(&out);
   return out;
 }
 
@@ -58,7 +58,7 @@ std::string QueryResult::Serialize() const {
   const uint64_t nrows = rows_.size();
   out.append(reinterpret_cast<const char*>(&nrows), sizeof(nrows));
   for (const Row& row : rows_) {
-    for (const sql::Value& v : row) out += v.EncodeForKey();
+    for (const sql::Value& v : row) v.AppendKey(&out);
   }
   return out;
 }

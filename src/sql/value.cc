@@ -78,29 +78,33 @@ std::string Value::ToSqlLiteral() const {
 
 std::string Value::EncodeForKey() const {
   std::string out;
-  out.push_back(static_cast<char>(type()));
+  AppendKey(&out);
+  return out;
+}
+
+void Value::AppendKey(std::string* out) const {
+  out->push_back(static_cast<char>(type()));
   switch (type()) {
     case ValueType::kNull:
       break;
     case ValueType::kInt64: {
       const int64_t v = AsInt64();
-      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+      out->append(reinterpret_cast<const char*>(&v), sizeof(v));
       break;
     }
     case ValueType::kDouble: {
       const double v = AsDouble();
-      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+      out->append(reinterpret_cast<const char*>(&v), sizeof(v));
       break;
     }
     case ValueType::kString: {
       const std::string& s = AsString();
       const uint64_t n = s.size();
-      out.append(reinterpret_cast<const char*>(&n), sizeof(n));
-      out += s;
+      out->append(reinterpret_cast<const char*>(&n), sizeof(n));
+      *out += s;
       break;
     }
   }
-  return out;
 }
 
 bool Value::DecodeFromKey(std::string_view data, size_t* pos, Value* out) {

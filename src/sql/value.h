@@ -89,6 +89,10 @@ class Value {
   // payload, length-prefixed).
   std::string EncodeForKey() const;
 
+  // Appends EncodeForKey()'s bytes to `*out`, so callers building a
+  // composite key reuse one buffer instead of allocating per value.
+  void AppendKey(std::string* out) const;
+
   // Decodes one value produced by EncodeForKey starting at `*pos`, advancing
   // `*pos` past it. Returns false on malformed/truncated input.
   static bool DecodeFromKey(std::string_view data, size_t* pos, Value* out);

@@ -286,6 +286,81 @@ TEST(BusBatchTest, RefusedNoticeInsideABatchIsDroppedNotRequeued) {
   EXPECT_EQ(stats.unreachable_failures, 0u);
 }
 
+// ----- Malformed acks from a peer are dropped, never fatal. -----
+
+// A member that answers every frame with one fixed, correctly sealed reply:
+// a buggy or version-skewed peer rather than a corrupted wire.
+class FixedReplyChannel : public service::Channel {
+ public:
+  explicit FixedReplyChannel(std::string reply) : reply_(std::move(reply)) {}
+
+  service::ChannelOutcome RoundTrip(std::string_view /*frame*/) override {
+    service::ChannelOutcome outcome;
+    outcome.delivered = true;
+    outcome.home_deliveries = 1;
+    outcome.response = Seal(reply_);
+    return outcome;
+  }
+
+ private:
+  std::string reply_;
+};
+
+TEST(BusMalformedAckTest, UndecodableSingleAckIsDroppedNotFatal) {
+  // Right message type, unreadable body.
+  FixedReplyChannel peer(
+      std::string(1, static_cast<char>(MessageType::kInvalidateResponse)) +
+      "garbage");
+  InvalidationBus bus;  // max_batch 1: one notice per frame.
+  bus.AddMember(0, &peer);
+  service::UpdateNotice notice;  // Blind.
+  const PublishOutcome first = bus.Publish("app", notice);
+  EXPECT_EQ(first.delivered_members, 1);  // Settled, not failed.
+  EXPECT_EQ(first.failed_members, 0);
+  bus.Publish("app", notice);
+
+  EXPECT_EQ(bus.Pending(0), 0u);
+  EXPECT_EQ(bus.Dropped(0), 2u);  // Backlog-unsafe for stale reads.
+  const BusStats stats = bus.stats();
+  EXPECT_EQ(stats.malformed_acks, 2u);
+  EXPECT_EQ(stats.dropped_frames, 2u);
+  EXPECT_EQ(stats.delivered_notices, 0u);
+  EXPECT_EQ(stats.unreachable_failures, 0u);
+}
+
+TEST(BusMalformedAckTest, GarbageOrShortBatchAckDropsTheWholeBatch) {
+  InvalidateBatchResponse short_list;
+  short_list.acks.push_back({/*accepted=*/true, /*entries_invalidated=*/1,
+                             StatusCode::kOk});
+  const std::string replies[] = {
+      std::string(1, static_cast<char>(MessageType::kInvalidateBatchResponse)) +
+          "garbage",
+      Encode(short_list),  // Decodes, but settles 1 of 3 notices.
+  };
+  for (const std::string& reply : replies) {
+    FixedReplyChannel peer(reply);
+    BusOptions options;
+    options.max_batch = 8;
+    InvalidationBus bus(options);
+    bus.AddMember(0, &peer);
+    bus.SetDeferred(0, true);
+    service::UpdateNotice notice;  // Blind.
+    for (int i = 0; i < 3; ++i) bus.Publish("app", notice);
+    bus.SetDeferred(0, false);
+
+    auto flushed = bus.Flush(0);
+    ASSERT_TRUE(flushed.ok());
+    EXPECT_EQ(*flushed, 0u);  // Nothing counts as delivered.
+    EXPECT_EQ(bus.Pending(0), 0u);
+    EXPECT_EQ(bus.Dropped(0), 3u);
+    const BusStats stats = bus.stats();
+    EXPECT_EQ(stats.batches_sent, 1u);
+    EXPECT_EQ(stats.malformed_acks, 1u);
+    EXPECT_EQ(stats.dropped_frames, 3u);
+    EXPECT_EQ(stats.delivered_notices, 0u);
+  }
+}
+
 // ----- Router: dropped notices make a member backlog-unsafe. -----
 
 std::unique_ptr<service::ScalableApp> MakeKvApp(const std::string& id,

@@ -20,13 +20,20 @@
 //     with partial keys, literal and parameter LIMITs) over randomized
 //     small databases with NULLs: compiled vs interpreted results must
 //     match bit-for-bit, including row order without any ORDER BY at all.
+//  7. The join edges picked from catalog uniqueness (index nested loop,
+//     index-driven outer) and their hash-join fallbacks: two- and
+//     three-table joins in both FROM orders over PK / UNIQUE columns,
+//     table sizes on both sides of every row-count rule, and GROUP BY keys
+//     that differ only in int/double tag. Every edge must be hit.
 //
-// Sections 4 and 6 together run well over 100k differential queries.
+// Sections 4, 6 and 7 together run well over 100k differential queries.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -809,6 +816,219 @@ TEST_P(SyntheticProgramTest, CompiledMatchesInterpreterBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SyntheticProgramTest,
                          ::testing::Range<uint64_t>(1, 31));
+
+// ---------------------------------------------------------------------------
+// 7. Join edges over unique columns.
+// ---------------------------------------------------------------------------
+
+using JoinKind = QueryProgram::JoinKind;
+
+// Tables whose PK / UNIQUE columns enable the index edges:
+//   tp  p_id INT PK; p_u DOUBLE UNIQUE holding int64- and double-tagged
+//       values (3.0 next to 4) plus NULLs; p_v INT; p_s STRING
+//   tc  c_id INT PK; c_p INT (repeats p_id values, NULLs); c_u DOUBLE
+//       (p_u's values in either tag); c_g DOUBLE (1 next to 1.0)
+//   tq  q_id INT PK; q_w INT
+// with holes punched in every table so slots are not dense.
+void BuildUniqueJoinDb(Database& db, Rng& rng, size_t np, size_t nc,
+                       size_t nq) {
+  ASSERT_TRUE(db.CreateTable(TableSchema("tp",
+                                         {{"p_id", ColumnType::kInt64},
+                                          {"p_u", ColumnType::kDouble},
+                                          {"p_v", ColumnType::kInt64},
+                                          {"p_s", ColumnType::kString}},
+                                         {"p_id"}, {}, {"p_u"}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable(TableSchema("tc",
+                                         {{"c_id", ColumnType::kInt64},
+                                          {"c_p", ColumnType::kInt64},
+                                          {"c_u", ColumnType::kDouble},
+                                          {"c_g", ColumnType::kDouble}},
+                                         {"c_id"}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable(TableSchema("tq",
+                                         {{"q_id", ColumnType::kInt64},
+                                          {"q_w", ColumnType::kInt64}},
+                                         {"q_id"}))
+                  .ok());
+  const auto maybe_null = [&](Value v) {
+    return rng.NextBool(0.12) ? Value::Null() : std::move(v);
+  };
+  const auto id_below = [&](size_t n) {
+    return Value(static_cast<int64_t>(rng.NextBelow(n + 2)));
+  };
+  // p_u's value for row k: k as int64, k as an integral double, or k + 0.5.
+  const auto unique_value = [](int64_t k) {
+    switch (k % 3) {
+      case 0:
+        return Value(static_cast<double>(k));
+      case 1:
+        return Value(k);
+      default:
+        return Value(static_cast<double>(k) + 0.5);
+    }
+  };
+  for (size_t i = 1; i <= np; ++i) {
+    const int64_t k = static_cast<int64_t>(i);
+    ASSERT_TRUE(
+        db.InsertRow("tp",
+                     {Value(k), maybe_null(unique_value(k)),
+                      maybe_null(id_below(std::max(nc, nq))),
+                      Value(std::string(
+                          1, static_cast<char>('a' + rng.NextBelow(4))))})
+            .ok());
+  }
+  for (size_t i = 1; i <= nc; ++i) {
+    const int64_t k = static_cast<int64_t>(rng.NextBelow(np + 2));
+    Value u;
+    switch (rng.NextBelow(3)) {
+      case 0:
+        u = Value(k);
+        break;
+      case 1:
+        u = Value(static_cast<double>(k));
+        break;
+      default:
+        u = Value(static_cast<double>(k) + 0.5);
+        break;
+    }
+    const Value twins[] = {Value(int64_t{1}), Value(1.0), Value(int64_t{2}),
+                           Value(2.0), Value(2.5)};
+    ASSERT_TRUE(db.InsertRow("tc", {Value(static_cast<int64_t>(i)),
+                                    maybe_null(id_below(np)), maybe_null(u),
+                                    maybe_null(twins[rng.NextBelow(5)])})
+                    .ok());
+  }
+  for (size_t i = 1; i <= nq; ++i) {
+    ASSERT_TRUE(db.InsertRow("tq", {Value(static_cast<int64_t>(i)),
+                                    Value(static_cast<int64_t>(
+                                        rng.NextBelow(4)))})
+                    .ok());
+  }
+  for (const char* name : {"tp", "tc", "tq"}) {
+    Table* table = db.FindMutableTable(name);
+    for (size_t slot = 2; slot < table->slot_count(); slot += 7) {
+      if (table->IsLive(slot)) table->DeleteSlot(slot);
+    }
+  }
+}
+
+struct EdgeTemplate {
+  const char* sql;
+  // One char per parameter: 'n' numeric, 's' string, 'l' LIMIT.
+  const char* params;
+};
+
+// Templates 0-2 and 6 pin the row-count rules (see the assertions below);
+// the rest cover FROM orders, filters, three-table joins and aggregates.
+constexpr EdgeTemplate kEdgeTemplates[] = {
+    // 0: edge 2 (inner selection < tc rows) or, declined, edge 1.
+    {"SELECT c_id, p_s FROM tc, tp WHERE c_p = p_id", ""},
+    // 1: inner probe on tp: edge 2 or, declined, a hash join reusing it.
+    {"SELECT c_id, p_id, p_u FROM tc, tp WHERE c_u = p_u AND p_s = ?", "s"},
+    // 2: outer probe, then edge 1 into tq or a hash join when tq is small.
+    {"SELECT c_id, p_s, q_w FROM tc, tp, tq "
+     "WHERE c_id >= ? AND c_p = p_id AND p_v = q_id",
+     "n"},
+    {"SELECT c_id, p_s FROM tc, tp WHERE c_p = p_id AND p_v > ?", "n"},
+    {"SELECT c_id, p_id FROM tc, tp WHERE c_id = ? AND p_id = c_p", "n"},
+    {"SELECT p_id, c_id, c_u FROM tp, tc WHERE p_v = c_id AND c_u >= ?", "n"},
+    // 6: non-unique join column: always a hash join.
+    {"SELECT p_id, c_id FROM tp, tc WHERE p_id = c_p", ""},
+    {"SELECT c_id, p_id FROM tc, tp WHERE c_p < p_id AND p_s = ?", "s"},
+    {"SELECT c_id, p_s, q_w FROM tc, tp, tq "
+     "WHERE c_p = p_id AND p_v = q_id AND q_w <= ?",
+     "n"},
+    {"SELECT q_id, c_id, p_id FROM tq, tc, tp "
+     "WHERE c_id = q_w AND c_p = p_id",
+     ""},
+    {"SELECT c_id FROM tc, tp WHERE c_u > c_g AND c_p = p_id AND p_s = ?",
+     "s"},
+    {"SELECT c_id, p_u FROM tc, tp WHERE c_p = p_id "
+     "ORDER BY p_u DESC LIMIT ?",
+     "l"},
+    {"SELECT c_g, COUNT(*), SUM(p_u) FROM tc, tp WHERE c_p = p_id "
+     "GROUP BY c_g",
+     ""},
+    {"SELECT c_g, COUNT(*) FROM tc GROUP BY c_g ORDER BY c_g", ""},
+    {"SELECT c_u, c_g, MAX(c_id), AVG(c_p) FROM tc GROUP BY c_u, c_g", ""},
+    {"SELECT p_s, c_u, COUNT(c_id) FROM tc, tp "
+     "WHERE c_u = p_u AND p_s >= ? GROUP BY p_s, c_u ORDER BY p_s LIMIT ?",
+     "sl"},
+};
+
+TEST(JoinEdgeProgramTest, EveryEdgeAndFallbackMatchesTheInterpreter) {
+  constexpr size_t kNumTemplates = std::size(kEdgeTemplates);
+  // kinds[t][stage] = the set of JoinKinds template t's stage ran.
+  std::vector<std::vector<std::set<JoinKind>>> kinds(kNumTemplates);
+  std::set<JoinKind> all;
+  uint64_t executed = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 104729 + 7);
+    Database db;
+    const size_t np = 1 + rng.NextBelow(40);
+    const size_t nc = 1 + rng.NextBelow(40);
+    const size_t nq = 1 + rng.NextBelow(12);
+    BuildUniqueJoinDb(db, rng, np, nc, nq);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    for (size_t t = 0; t < kNumTemplates; ++t) {
+      const EdgeTemplate& tmpl = kEdgeTemplates[t];
+      SCOPED_TRACE(tmpl.sql);
+      const sql::Statement stmt = sql::ParseOrDie(tmpl.sql);
+      const StatusOr<QueryProgram> program =
+          QueryProgram::Compile(db.catalog(), stmt.select());
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      for (int round = 0; round < 30; ++round) {
+        std::vector<Value> params;
+        for (const char* kind = tmpl.params; *kind != '\0'; ++kind) {
+          if (*kind == 'l') {
+            params.push_back(Value(static_cast<int64_t>(rng.NextBelow(8))));
+          } else if (rng.NextBool(0.08)) {
+            params.push_back(Value::Null());
+          } else if (*kind == 's') {
+            params.push_back(Value(
+                std::string(1, static_cast<char>('a' + rng.NextBelow(5)))));
+          } else if (rng.NextBool(0.5)) {
+            params.push_back(Value(static_cast<int64_t>(rng.NextBelow(12))));
+          } else {
+            params.push_back(Value(static_cast<double>(rng.NextBelow(24)) / 2));
+          }
+        }
+        std::vector<JoinKind> stages;
+        ExpectSameOutcome(program->Execute(db, params, &stages),
+                          db.ExecuteQuery(sql::BindParameters(stmt, params)),
+                          "seed " + std::to_string(seed) + " round " +
+                              std::to_string(round));
+        if (::testing::Test::HasFatalFailure()) return;
+        ++executed;
+        if (kinds[t].size() < stages.size()) kinds[t].resize(stages.size());
+        for (size_t stage = 0; stage < stages.size(); ++stage) {
+          kinds[t][stage].insert(stages[stage]);
+          all.insert(stages[stage]);
+        }
+      }
+    }
+  }
+  EXPECT_GT(executed, 15000u);
+
+  // Every edge, the hash fallback and the plain nested loop ran.
+  EXPECT_EQ(all, (std::set<JoinKind>{JoinKind::kNestedLoop, JoinKind::kHash,
+                                     JoinKind::kIndexNestedLoop,
+                                     JoinKind::kIndexOuter}));
+  // Both sides of each row-count rule ran.
+  ASSERT_EQ(kinds[0].size(), 1u);
+  EXPECT_EQ(kinds[0][0], (std::set<JoinKind>{JoinKind::kIndexNestedLoop,
+                                             JoinKind::kIndexOuter}));
+  ASSERT_EQ(kinds[1].size(), 1u);
+  EXPECT_EQ(kinds[1][0],
+            (std::set<JoinKind>{JoinKind::kHash, JoinKind::kIndexOuter}));
+  ASSERT_EQ(kinds[2].size(), 2u);
+  EXPECT_EQ(kinds[2][1],
+            (std::set<JoinKind>{JoinKind::kHash, JoinKind::kIndexNestedLoop}));
+  ASSERT_EQ(kinds[6].size(), 1u);
+  EXPECT_EQ(kinds[6][0], std::set<JoinKind>{JoinKind::kHash});
+}
 
 }  // namespace
 }  // namespace dssp::engine
