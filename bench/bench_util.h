@@ -1,10 +1,13 @@
 #ifndef DSSP_BENCH_BENCH_UTIL_H_
 #define DSSP_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <memory>
 #include <utility>
@@ -182,19 +185,49 @@ inline std::unique_ptr<System> BuildSystem(const std::string& name,
 //                        the paper uses 600 — set it for full fidelity)
 //   DSSP_BENCH_SCALE     database scale factor (default 1.0)
 //   DSSP_BENCH_MAX_USERS scalability search ceiling (default 6000)
-inline double BenchDuration() {
-  const char* env = std::getenv("DSSP_BENCH_DURATION");
-  return env != nullptr ? std::atof(env) : 240.0;
+// A value that does not parse completely as a positive number is a
+// configuration error: the experiment says so and exits with status 2
+// instead of running a shape nobody asked for.
+[[noreturn]] inline void RejectEnv(const char* name, const char* value,
+                                   const char* expected) {
+  std::fprintf(stderr, "%s=%s: expected %s\n", name, value, expected);
+  std::exit(2);
 }
 
-inline double BenchScale() {
-  const char* env = std::getenv("DSSP_BENCH_SCALE");
-  return env != nullptr ? std::atof(env) : 1.0;
+inline double PositiveEnv(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(env, &end);
+  if (end == env || *end != '\0' || errno != 0 || !std::isfinite(value) ||
+      value <= 0) {
+    RejectEnv(name, env, "a positive number");
+  }
+  return value;
 }
+
+inline int PositiveIntEnv(const char* name, int fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || errno != 0 || value <= 0 ||
+      value > std::numeric_limits<int>::max()) {
+    RejectEnv(name, env, "a positive integer");
+  }
+  return static_cast<int>(value);
+}
+
+inline double BenchDuration() {
+  return PositiveEnv("DSSP_BENCH_DURATION", 240.0);
+}
+
+inline double BenchScale() { return PositiveEnv("DSSP_BENCH_SCALE", 1.0); }
 
 inline int BenchMaxUsers() {
-  const char* env = std::getenv("DSSP_BENCH_MAX_USERS");
-  return env != nullptr ? std::atoi(env) : 6000;
+  return PositiveIntEnv("DSSP_BENCH_MAX_USERS", 6000);
 }
 
 inline sim::SimConfig BenchSimConfig() {

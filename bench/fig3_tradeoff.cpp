@@ -110,7 +110,10 @@ int main() {
 
     auto result =
         dssp::bench::MeasureScalability("bookstore", point.factory, config);
-    DSSP_CHECK(result.ok());
+    if (!result.ok()) {
+      std::fprintf(stderr, "\n%s\n", result.status().ToString().c_str());
+      return 1;
+    }
     std::printf("%-36s %28zu %12d\n", point.label.c_str(), encrypted,
                 result->max_users);
     std::fflush(stdout);

@@ -59,7 +59,10 @@ int main(int argc, char** argv) {
                                                 strategy.update_level);
           },
           config);
-      DSSP_CHECK(result.ok());
+      if (!result.ok()) {
+        std::fprintf(stderr, "\n%s\n", result.status().ToString().c_str());
+        return 1;
+      }
       std::printf(" %8d", result->max_users);
       std::fflush(stdout);
       if (json_path != nullptr) {

@@ -20,8 +20,7 @@ namespace dssp::sim {
 //
 // The default (num_hosts = 0, pool_size = 0) gives every tenant a private
 // host whose pool has config.home_workers connections and zero lease
-// overhead — arithmetic identical to the per-tenant QueueingResource it
-// replaced, so legacy callers see bit-identical timing.
+// overhead. RunSimulation and RunMultiTenantSimulation always use it.
 struct HomeTopology {
   int num_hosts = 0;          // 0 = one host per tenant.
   int pool_size = 0;          // Connections per host; 0 = config.home_workers.
@@ -84,14 +83,15 @@ struct ClusterSimResult {
 // single shared DSSP worker pool becomes one FIFO pool per member node, and
 // each operation's service time is charged to the member that actually
 // handled it (the router records the route thread-locally per operation).
-// Driven by the epoch-based EventExecutor, so million-client runs multiplex
-// over a fixed thread set instead of a global heap; execution stays
-// serialized in (time, seq) order, and timing semantics are identical to
-// RunMultiTenantSimulation, so a 1-node cluster reproduces the single-node
-// numbers bit for bit.
+// RunMultiTenantSimulation is the same event loop (the epoch-based
+// EventExecutor) without a router, so a 1-node cluster reproduces the
+// single-node numbers bit for bit.
 //
 // Every tenant's ScalableApp must already be constructed over `router` as
-// its CacheBackend and finalized/populated.
+// its CacheBackend and finalized/populated. Home hosts are attached for the
+// run and detached after it, as in RunSimulation. A scenario naming a
+// non-member, a non-positive rejoin retry or a negative topology field
+// returns InvalidArgument.
 StatusOr<ClusterSimResult> RunClusterSimulation(
     cluster::ClusterRouter& router, std::vector<Tenant> tenants,
     const SimConfig& config, const ClusterScenario& scenario = {},

@@ -26,8 +26,10 @@ struct SimConfig {
   double dssp_lookup_s = 0.0002;
   double dssp_per_invalidation_s = 0.00002;
 
-  // Home server: the bottleneck resource, a FIFO worker pool. Service
-  // times model the paper's commodity P-III 850 MHz MySQL4 home server.
+  // Home server: the bottleneck resource, a FIFO connection pool of
+  // `home_workers` connections per host (HomeTopology::pool_size overrides
+  // it in RunClusterSimulation). Service times model the paper's commodity
+  // P-III 850 MHz MySQL4 home server.
   int home_workers = 1;
   double home_query_base_s = 0.010;
   double home_query_per_row_s = 0.00005;
@@ -54,12 +56,6 @@ struct SimConfig {
   // think_time_mean_s / num_clients instead. Kept opt-in so the published
   // figure runs stay bit-identical under the legacy seed.
   bool exponential_arrivals = false;
-
-  // Event-executor shape (RunClusterSimulation only; 0 = auto). Neither
-  // affects results — execution order is deterministic in (time, seq)
-  // regardless — only how the harvest/sort work is spread over threads.
-  int sim_threads = 0;
-  double sim_epoch_s = 0;
 };
 
 }  // namespace dssp::sim

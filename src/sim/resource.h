@@ -9,7 +9,8 @@
 namespace dssp::sim {
 
 // A FIFO worker pool in virtual time: jobs go to the earliest-free worker.
-// Models the home server's DBMS workers and the DSSP node's CPU.
+// Models each DSSP member's CPU (home hosts queue on backend::ConnectionPool,
+// which admits identically at zero lease latency).
 class QueueingResource {
  public:
   explicit QueueingResource(int workers) : busy_until_(workers, 0.0) {
@@ -23,17 +24,6 @@ class QueueingResource {
     const double start = std::max(arrival, *it);
     *it = start + service;
     return *it;
-  }
-
-  // Total queueing delay a job arriving now would see before starting.
-  double CurrentBacklog(double now) const {
-    const double earliest =
-        *std::min_element(busy_until_.begin(), busy_until_.end());
-    return std::max(0.0, earliest - now);
-  }
-
-  void Reset() {
-    for (double& b : busy_until_) b = 0.0;
   }
 
  private:

@@ -1,12 +1,20 @@
 #include "sim/search.h"
 
+#include <string>
+
 namespace dssp::sim {
 
 StatusOr<ScalabilityResult> FindMaxUsers(const ProbeFn& probe,
                                          const SimConfig& config,
                                          int min_users, int max_users,
                                          int tolerance) {
-  DSSP_CHECK(min_users > 0 && max_users >= min_users && tolerance > 0);
+  if (min_users <= 0 || max_users < min_users || tolerance <= 0) {
+    return InvalidArgumentError(
+        "scalability search needs 0 < min_users <= max_users and a positive "
+        "tolerance (got min_users=" + std::to_string(min_users) +
+        ", max_users=" + std::to_string(max_users) +
+        ", tolerance=" + std::to_string(tolerance) + ")");
+  }
   ScalabilityResult out;
 
   const auto run = [&](int users) -> StatusOr<bool> {

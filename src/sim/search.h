@@ -24,7 +24,9 @@ struct ScalabilityResult {
 
 // Finds the scalability of a configuration: exponential ramp from
 // `min_users` until the SLO fails (or `max_users` passes), then binary
-// search to within `tolerance` users.
+// search to within `tolerance` users. Bounds violating
+// 0 < min_users <= max_users, or a non-positive tolerance, return
+// InvalidArgument.
 StatusOr<ScalabilityResult> FindMaxUsers(const ProbeFn& probe,
                                          const SimConfig& config,
                                          int min_users = 10,

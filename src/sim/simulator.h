@@ -63,13 +63,22 @@ struct Tenant {
 // the system (the race-handling of a real deployment's non-transactional
 // invalidation protocol is not modeled), which is the standard fidelity
 // level for cache-scalability studies.
+//
+// For the duration of the run the app's home backend is attached to a
+// simulated host (backend::BackendHost) whose connection pool is the home
+// queue; its previous host is restored before the call returns, so the app
+// serves traffic normally afterwards. Malformed arguments (no tenants, a
+// null app or generator, no clients, empty worker pools) return
+// InvalidArgument.
 StatusOr<SimResult> RunSimulation(service::ScalableApp& app,
                                   SessionGenerator& generator,
                                   int num_clients, const SimConfig& config);
 
 // Multi-tenant variant: all tenants' clients share the DSSP node (and its
 // worker pool); each tenant's misses and updates queue at its own home
-// server. Returns one SimResult per tenant, in input order.
+// server. Returns one SimResult per tenant, in input order. The same event
+// loop as RunClusterSimulation (sim/cluster_sim.h), run with one DSSP pool
+// and the default HomeTopology.
 StatusOr<std::vector<SimResult>> RunMultiTenantSimulation(
     std::vector<Tenant> tenants, const SimConfig& config);
 

@@ -1,6 +1,8 @@
 // Cluster simulator tests: a 1-node cluster must reproduce the single-node
-// simulator's numbers exactly, and the kill/rejoin scenario must complete
-// with zero failed client operations.
+// simulator's numbers exactly, the kill/rejoin scenario must complete with
+// zero failed client operations, a run must leave its apps attached to the
+// home hosts they had before it, and malformed arguments must come back as
+// InvalidArgument.
 
 #include "sim/cluster_sim.h"
 
@@ -8,6 +10,7 @@
 
 #include <memory>
 
+#include "backend/host.h"
 #include "cluster/router.h"
 #include "crypto/keyring.h"
 #include "dssp/app.h"
@@ -153,32 +156,6 @@ TEST(ClusterSimTest, ExponentialArrivalsReproduceSingleNodeNumbers) {
       {Tenant{single.app.get(), single.generator.get(), 40}}, config);
   ASSERT_TRUE(single_result.ok());
   ExpectSameSimResult(cluster_result->tenants[0], (*single_result)[0]);
-}
-
-TEST(ClusterSimTest, ExecutorThreadShapeDoesNotChangeResults) {
-  auto run = [](int threads, double epoch_s) {
-    cluster::ClusterOptions options;
-    options.num_nodes = 2;
-    cluster::ClusterRouter router(options);
-    System system = BuildBookstore(&router);
-    SimConfig config = TestConfig();
-    config.duration_s = 25.0;
-    config.exponential_arrivals = true;
-    config.sim_threads = threads;
-    config.sim_epoch_s = epoch_s;
-    auto result = RunClusterSimulation(
-        router, {Tenant{system.app.get(), system.generator.get(), 30}},
-        config);
-    EXPECT_TRUE(result.ok());
-    return *result;
-  };
-
-  const ClusterSimResult a = run(1, 0.25);
-  const ClusterSimResult b = run(4, 0.05);
-  ExpectSameSimResult(a.tenants[0], b.tenants[0]);
-  EXPECT_EQ(a.pages_measured, b.pages_measured);
-  EXPECT_EQ(a.node_ops, b.node_ops);
-  EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
 TEST(ClusterSimTest, BatchedBusReproducesUnbatchedResultsAtEqualLag) {
@@ -402,6 +379,117 @@ TEST(ClusterSimTest, ScenarioDefaultsAreInert) {
   for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(router.membership().health(i), cluster::NodeHealth::kAlive);
   }
+}
+
+// Serves `pages` pages of `system`'s workload directly through its app.
+void ServePages(System& system, int pages) {
+  Rng rng(77);
+  for (int p = 0; p < pages; ++p) {
+    for (const DbOp& op : system.generator->NextPage(rng)) {
+      if (op.is_update) {
+        EXPECT_TRUE(system.app->Update(op.template_id, op.params).ok());
+      } else {
+        EXPECT_TRUE(system.app->Query(op.template_id, op.params).ok());
+      }
+    }
+  }
+}
+
+TEST(ClusterSimTest, RunRestoresHomeHostAndAppKeepsServing) {
+  cluster::ClusterOptions options;
+  options.num_nodes = 2;
+  cluster::ClusterRouter router(options);
+  System system = BuildBookstore(&router);
+  ASSERT_EQ(system.app->home().host(), nullptr);
+
+  SimConfig config = TestConfig();
+  config.duration_s = 5.0;
+  auto result = RunClusterSimulation(
+      router, {Tenant{system.app.get(), system.generator.get(), 10}}, config);
+  ASSERT_TRUE(result.ok());
+  // The run's hosts are gone; the app must not still point at one.
+  ASSERT_EQ(system.app->home().host(), nullptr);
+  ServePages(system, 20);
+}
+
+TEST(ClusterSimTest, SingleNodeRunRestoresAnAttachedHost) {
+  service::DsspNode node;
+  System system = BuildBookstore(&node);
+  backend::BackendHost own_host(backend::PoolOptions{});
+  own_host.AttachTenant(&system.app->home());
+
+  SimConfig config = TestConfig();
+  config.duration_s = 5.0;
+  auto result = RunSimulation(*system.app, *system.generator, 10, config);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(system.app->home().host(), &own_host);
+  ServePages(system, 20);
+}
+
+// Yields one page whose only op names a template the app does not have.
+class UnknownTemplateGenerator : public SessionGenerator {
+ public:
+  std::vector<DbOp> NextPage(Rng&) override {
+    DbOp op;
+    op.template_id = "NO_SUCH_TEMPLATE";
+    return {op};
+  }
+};
+
+TEST(ClusterSimTest, FailedRunRestoresHomeHost) {
+  service::DsspNode node;
+  System system = BuildBookstore(&node);
+  UnknownTemplateGenerator bad;
+  auto result = RunSimulation(*system.app, bad, 3, TestConfig());
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(system.app->home().host(), nullptr);
+  ServePages(system, 5);
+}
+
+TEST(ClusterSimTest, MalformedArgumentsAreInvalidArgument) {
+  cluster::ClusterOptions options;
+  options.num_nodes = 2;
+  cluster::ClusterRouter router(options);
+  System system = BuildBookstore(&router);
+  const Tenant tenant{system.app.get(), system.generator.get(), 5};
+  const SimConfig config = TestConfig();
+  auto expect_invalid = [&](const ClusterScenario& scenario,
+                            const HomeTopology& topology) {
+    auto result =
+        RunClusterSimulation(router, {tenant}, config, scenario, topology);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  };
+
+  ClusterScenario kill_outside;
+  kill_outside.kill_at_s = 1.0;
+  kill_outside.kill_node = 2;  // Members are 0 and 1.
+  expect_invalid(kill_outside, {});
+  kill_outside.kill_node = -1;
+  expect_invalid(kill_outside, {});
+
+  ClusterScenario no_retry;
+  no_retry.kill_at_s = 1.0;
+  no_retry.rejoin_retry_s = 0;
+  expect_invalid(no_retry, {});
+
+  HomeTopology negative_hosts;
+  negative_hosts.num_hosts = -1;
+  expect_invalid({}, negative_hosts);
+  HomeTopology negative_pool;
+  negative_pool.pool_size = -2;
+  expect_invalid({}, negative_pool);
+  HomeTopology negative_latency;
+  negative_latency.lease_latency_s = -0.5;
+  expect_invalid({}, negative_latency);
+
+  auto empty = RunClusterSimulation(router, {}, config);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+
+  // Nothing ran: no member was killed and the app is still unattached.
+  EXPECT_EQ(router.membership().health(1), cluster::NodeHealth::kAlive);
+  EXPECT_EQ(system.app->home().host(), nullptr);
 }
 
 }  // namespace

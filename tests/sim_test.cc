@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "crypto/keyring.h"
 #include "sim/resource.h"
 #include "sim/search.h"
@@ -25,15 +27,6 @@ TEST(QueueingResourceTest, MultiWorkerParallelism) {
   EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0), 1.0);  // Second worker.
   EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0), 2.0);  // Queues behind one.
-}
-
-TEST(QueueingResourceTest, BacklogAndReset) {
-  QueueingResource r(1);
-  r.Schedule(0.0, 3.0);
-  EXPECT_DOUBLE_EQ(r.CurrentBacklog(1.0), 2.0);
-  EXPECT_DOUBLE_EQ(r.CurrentBacklog(4.0), 0.0);
-  r.Reset();
-  EXPECT_DOUBLE_EQ(r.CurrentBacklog(1.0), 0.0);
 }
 
 // ----- Simulator on the real toystore app -----
@@ -114,6 +107,27 @@ TEST(SimulatorTest, SaturationRaisesResponseTimes) {
   EXPECT_GT(heavy->p90_response_s, light->p90_response_s * 2);
 }
 
+TEST(SimulatorTest, MalformedArgumentsAreInvalidArgument) {
+  SimHarness h;
+  const SimConfig config = FastConfig();
+  auto expect_invalid = [](const auto& result) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  };
+  expect_invalid(RunSimulation(h.app, *h.generator, 0, config));
+  expect_invalid(RunMultiTenantSimulation({}, config));
+  expect_invalid(RunMultiTenantSimulation(
+      {Tenant{nullptr, h.generator.get(), 5}}, config));
+  expect_invalid(
+      RunMultiTenantSimulation({Tenant{&h.app, nullptr, 5}}, config));
+  SimConfig no_workers = config;
+  no_workers.dssp_workers = 0;
+  expect_invalid(RunSimulation(h.app, *h.generator, 5, no_workers));
+  no_workers = config;
+  no_workers.home_workers = -1;
+  expect_invalid(RunSimulation(h.app, *h.generator, 5, no_workers));
+}
+
 TEST(SimulatorTest, SloPredicate) {
   SimConfig config;
   SimResult result;
@@ -181,6 +195,23 @@ TEST(SearchTest, NothingPassingReturnsZero) {
   auto result = FindMaxUsers(probe, config, 10, 1000, 10);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->max_users, 0);
+}
+
+TEST(SearchTest, BadBoundsAreInvalidArgument) {
+  const SimConfig config;
+  int probes = 0;
+  const ProbeFn probe = [&](int) -> StatusOr<SimResult> {
+    ++probes;
+    return SimResult{};
+  };
+  for (const auto& [min_users, max_users, tolerance] :
+       {std::tuple{10, 5, 20}, std::tuple{0, 100, 10},
+        std::tuple{-5, 100, 10}, std::tuple{10, 100, 0}}) {
+    auto result = FindMaxUsers(probe, config, min_users, max_users, tolerance);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(probes, 0);
 }
 
 TEST(SearchTest, ProbeErrorsPropagate) {
