@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,8 @@ CacheEntry MakeEntry(const dssp::templates::TemplateSet& templates,
   entry.key = "k" + std::to_string(id);
   entry.level = ExposureLevel::kStmt;
   entry.template_index = 0;
-  entry.statement = templates.queries()[0].Bind({Value(id)});
+  entry.statement = std::make_shared<const dssp::sql::Statement>(
+      templates.queries()[0].Bind({Value(id)}));
   entry.blob = "v" + std::to_string(id);
   return entry;
 }

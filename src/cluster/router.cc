@@ -220,7 +220,8 @@ void ClusterRouter::Store(const std::string& app_id, CacheEntry entry) {
   }
   tls_last_route = RouteInfo{owners.front(), false, false};
   // Write-through to the whole servable replica set so any of them can
-  // answer when the owner dies.
+  // answer when the owner dies. The replicas' copies share the entry's
+  // statement and result.
   for (size_t idx = 0; idx < owners.size(); ++idx) {
     Member& member = *members_[CheckIndex(owners[idx])];
     member.stores.fetch_add(1, std::memory_order_relaxed);

@@ -91,4 +91,40 @@ uint64_t SipHash24(uint64_t k0, uint64_t k1, std::string_view data) {
   return v0 ^ v1 ^ v2 ^ v3;
 }
 
+namespace {
+
+// SipHash24 of one 8-byte message, unrolled for that length: one
+// compression block, the length-only final block (8 << 56), finalization.
+inline uint64_t SipHash24Word(uint64_t k0, uint64_t k1, uint64_t m) {
+  constexpr uint64_t kFinalBlock = uint64_t{8} << 56;
+  uint64_t v0 = 0x736f6d6570736575ULL ^ k0;
+  uint64_t v1 = 0x646f72616e646f6dULL ^ k1;
+  uint64_t v2 = 0x6c7967656e657261ULL ^ k0;
+  uint64_t v3 = 0x7465646279746573ULL ^ k1 ^ m;
+  SipRound(v0, v1, v2, v3);
+  SipRound(v0, v1, v2, v3);
+  v0 ^= m;
+  v3 ^= kFinalBlock;
+  SipRound(v0, v1, v2, v3);
+  SipRound(v0, v1, v2, v3);
+  v0 ^= kFinalBlock;
+  v2 ^= 0xff;
+  SipRound(v0, v1, v2, v3);
+  SipRound(v0, v1, v2, v3);
+  SipRound(v0, v1, v2, v3);
+  SipRound(v0, v1, v2, v3);
+  return v0 ^ v1 ^ v2 ^ v3;
+}
+
+}  // namespace
+
+void SipHash24Words4(uint64_t k0, uint64_t k1, const uint64_t words[4],
+                     uint64_t out[4]) {
+  // Four independent dependency chains, which the CPU overlaps.
+  out[0] = SipHash24Word(k0, k1, words[0]);
+  out[1] = SipHash24Word(k0, k1, words[1]);
+  out[2] = SipHash24Word(k0, k1, words[2]);
+  out[3] = SipHash24Word(k0, k1, words[3]);
+}
+
 }  // namespace dssp

@@ -13,6 +13,13 @@ namespace dssp {
 // deterministic cipher in crypto/. Deterministic for a fixed key.
 uint64_t SipHash24(uint64_t k0, uint64_t k1, std::string_view data);
 
+// SipHash-2-4 of four 8-byte messages under one key: out[i] equals
+// SipHash24(k0, k1, <the 8 little-endian bytes of words[i]>). Unrolled for
+// the fixed length; the four lanes are independent, so they overlap in the
+// pipeline. The deterministic cipher's counter-mode keystream uses it.
+void SipHash24Words4(uint64_t k0, uint64_t k1, const uint64_t words[4],
+                     uint64_t out[4]);
+
 // Unkeyed convenience hash for in-process hash tables.
 inline uint64_t Hash64(std::string_view data) {
   return SipHash24(0x736f6d6570736575ULL, 0x646f72616e646f6dULL, data);

@@ -20,9 +20,11 @@
     }                                                                        \
   } while (0)
 
+// DSSP_CHECK_OK holds its operand by value: `expr` may be `.status()` of a
+// temporary StatusOr, whose Status dies with the full-expression.
 #define DSSP_CHECK_OK(expr)                                                  \
   do {                                                                       \
-    const auto& dssp_check_ok_status = (expr);                               \
+    const auto dssp_check_ok_status = (expr);                                \
     if (!dssp_check_ok_status.ok()) {                                        \
       std::fprintf(stderr, "DSSP_CHECK_OK failed at %s:%d: %s\n", __FILE__,  \
                    __LINE__, dssp_check_ok_status.message().c_str());        \
@@ -44,8 +46,8 @@
 // capability. Under other compilers every macro expands to nothing, so the
 // annotated headers stay portable.
 //
-// The annotated capability types live in common/mutex.h (dssp::Mutex,
-// dssp::SharedMutex, the RAII lock holders, and dssp::CondVar); the raw
+// The annotated capability types live in common/mutex.h (dssp::Mutex, its
+// RAII lock holder, and dssp::CondVar); the raw
 // standard-library types carry no annotations, so guarded fields must be
 // protected by the wrapper types for the analysis to see anything.
 

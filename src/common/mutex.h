@@ -3,13 +3,12 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/macros.h"
 
 // Thin annotated wrappers over the standard-library synchronization types.
-// libstdc++'s std::mutex/std::shared_mutex carry no thread-safety-analysis
-// attributes, so fields guarded by them are invisible to -Wthread-safety;
+// libstdc++'s std::mutex carries no thread-safety-analysis attributes, so
+// fields guarded by it are invisible to -Wthread-safety;
 // these wrappers put a DSSP_CAPABILITY on the lockable type and scoped
 // capabilities on the RAII holders, which is all the analysis needs to check
 // a DSSP_GUARDED_BY field end to end. They add no state and no behavior:
@@ -49,53 +48,6 @@ class DSSP_SCOPED_CAPABILITY MutexLock {
  private:
   friend class CondVar;
   Mutex& mu_;
-};
-
-// Reader/writer mutex (wraps std::shared_mutex).
-class DSSP_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() DSSP_ACQUIRE() { mu_.lock(); }
-  void Unlock() DSSP_RELEASE() { mu_.unlock(); }
-  void LockShared() DSSP_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() DSSP_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
-// Scoped exclusive (writer) lock over SharedMutex.
-class DSSP_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) DSSP_ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~WriterMutexLock() DSSP_RELEASE() { mu_.Unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// Scoped shared (reader) lock over SharedMutex. The destructor is annotated
-// with the generic DSSP_RELEASE (not RELEASE_SHARED): clang's analysis treats
-// the generic form as releasing whichever mode was acquired, which is the
-// convention annotated scoped readers use.
-class DSSP_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) DSSP_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderMutexLock() DSSP_RELEASE() { mu_.UnlockShared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 // Condition variable usable under a MutexLock. Wait() releases and reacquires

@@ -2,6 +2,7 @@
 #define DSSP_CRYPTO_CIPHER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -39,6 +40,12 @@ class DeterministicCipher {
 
   // Inverse of Encrypt.
   std::string Decrypt(std::string_view ciphertext) const;
+
+  // Encrypt/Decrypt over `data` in place; neither allocates. The rounds XOR
+  // each half with a keystream seeded by the other half, so no copy of
+  // either half is ever made.
+  void EncryptInPlace(std::span<char> data) const;
+  void DecryptInPlace(std::span<char> data) const;
 
   // A deterministic 64-bit tag of the plaintext under this key. Used where a
   // fixed-size digest of an encrypted item is needed (e.g., hash-map keys).

@@ -1,5 +1,7 @@
 #include "dssp/app.h"
 
+#include <span>
+
 #include "dssp/protocol.h"
 
 namespace dssp::service {
@@ -116,26 +118,53 @@ Status ScalableApp::SetExposure(analysis::ExposureAssignment exposure) {
 
 std::string ScalableApp::LookupKey(const templates::QueryTemplate& tmpl,
                                    analysis::ExposureLevel level,
-                                   const sql::Statement& bound,
                                    const std::vector<sql::Value>& params) const {
+  // Every key is built in one buffer; the statement text comes from the
+  // template's SQL pattern, byte-for-byte ToSql(Bind(params)).
+  std::string key;
   switch (level) {
     case analysis::ExposureLevel::kView:
     case analysis::ExposureLevel::kStmt:
       // Plaintext statement as key.
-      return "s:" + sql::ToSql(bound);
+      key = "s:";
+      tmpl.sql_pattern().AppendBound(params, &key);
+      return key;
     case analysis::ExposureLevel::kTemplate: {
       // Template id + deterministically encrypted parameters.
-      std::string key = "t:" + tmpl.id();
+      key = "t:" + tmpl.id();
       const crypto::DeterministicCipher cipher = home_.parameter_cipher();
       for (const sql::Value& param : params) {
         key += "|";
-        key += cipher.Encrypt(param.EncodeForKey());
+        const size_t begin = key.size();
+        param.AppendKey(&key);
+        cipher.EncryptInPlace(std::span<char>(key).subspan(begin));
       }
       return key;
     }
     case analysis::ExposureLevel::kBlind:
       // Encrypted full statement.
-      return "b:" + home_.statement_cipher().Encrypt(sql::ToSql(bound));
+      key = "b:";
+      tmpl.sql_pattern().AppendBound(params, &key);
+      home_.statement_cipher().EncryptInPlace(std::span<char>(key).subspan(2));
+      return key;
+  }
+  DSSP_UNREACHABLE("bad ExposureLevel");
+}
+
+std::string ScalableApp::EncryptedStatement(
+    const templates::QueryTemplate& tmpl, analysis::ExposureLevel level,
+    const std::string& key, const std::vector<sql::Value>& params) const {
+  switch (level) {
+    case analysis::ExposureLevel::kView:
+    case analysis::ExposureLevel::kStmt:
+      return home_.statement_cipher().Encrypt(std::string_view(key).substr(2));
+    case analysis::ExposureLevel::kBlind:
+      return key.substr(2);  // The key already is the encrypted statement.
+    case analysis::ExposureLevel::kTemplate: {
+      std::string statement = tmpl.sql_pattern().Bound(params);
+      home_.statement_cipher().EncryptInPlace(statement);
+      return statement;
+    }
   }
   DSSP_UNREACHABLE("bad ExposureLevel");
 }
@@ -153,8 +182,7 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
     return InvalidArgumentError("parameter count mismatch for " + tmpl.id());
   }
   const analysis::ExposureLevel level = exposure_.query_levels[index];
-  const sql::Statement bound = tmpl.Bind(params);
-  const std::string key = LookupKey(tmpl, level, bound, params);
+  const std::string key = LookupKey(tmpl, level, params);
 
   AccessStats local;
   AccessStats& s = stats != nullptr ? *stats : local;
@@ -171,8 +199,7 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
     // protocol frame (Figure 2), over the configured wire path.
     const bool plaintext_result = level == analysis::ExposureLevel::kView;
     const std::string request_frame = Encode(QueryRequest{
-        home_.statement_cipher().Encrypt(sql::ToSql(bound)),
-        plaintext_result});
+        EncryptedStatement(tmpl, level, key, params), plaintext_result});
     StatusOr<std::string> response_frame = WireCall(request_frame, s);
     if (response_frame.ok()) {
       DSSP_ASSIGN_OR_RETURN(blob, UnwrapQueryResponse(*response_frame));
@@ -186,12 +213,16 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
       }
       if (level == analysis::ExposureLevel::kStmt ||
           level == analysis::ExposureLevel::kView) {
-        fresh.statement = bound;
+        // The only Bind on the query path: an entry that exposes its
+        // statement keeps the bound AST for invalidation.
+        fresh.statement = std::make_shared<const sql::Statement>(
+            tmpl.Bind(params));
       }
       if (plaintext_result) {
         DSSP_ASSIGN_OR_RETURN(engine::QueryResult plain,
                               engine::QueryResult::Deserialize(blob));
-        fresh.result = std::move(plain);
+        fresh.result =
+            std::make_shared<const engine::QueryResult>(std::move(plain));
       }
       dssp_->Store(app_id(), std::move(fresh));
     } else {
@@ -215,13 +246,12 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
 
   s.response_bytes = kRequestOverheadBytes + blob.size();
 
-  // Client-side decryption of the blob.
-  const std::string serialized =
-      level == analysis::ExposureLevel::kView
-          ? blob
-          : home_.result_cipher().Decrypt(blob);
+  // Client-side decryption of the blob, in place.
+  if (level != analysis::ExposureLevel::kView) {
+    home_.result_cipher().DecryptInPlace(blob);
+  }
   DSSP_ASSIGN_OR_RETURN(engine::QueryResult result,
-                        engine::QueryResult::Deserialize(serialized));
+                        engine::QueryResult::Deserialize(blob));
   s.result_rows = result.num_rows();
   return result;
 }
@@ -239,7 +269,6 @@ StatusOr<engine::UpdateEffect> ScalableApp::Update(
     return InvalidArgumentError("parameter count mismatch for " + tmpl.id());
   }
   const analysis::ExposureLevel level = exposure_.update_levels[index];
-  const sql::Statement bound = tmpl.Bind(params);
 
   AccessStats local;
   AccessStats& s = stats != nullptr ? *stats : local;
@@ -248,7 +277,8 @@ StatusOr<engine::UpdateEffect> ScalableApp::Update(
 
   // All updates are routed to the home server in encrypted form (Figure 2).
   // The hardened path stamps a dedup nonce so retries are at-most-once.
-  UpdateRequest request{home_.statement_cipher().Encrypt(sql::ToSql(bound))};
+  UpdateRequest request{tmpl.sql_pattern().Bound(params)};
+  home_.statement_cipher().EncryptInPlace(request.encrypted_statement);
   if (client_ != nullptr) {
     request.nonce = next_nonce_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -264,7 +294,7 @@ StatusOr<engine::UpdateEffect> ScalableApp::Update(
     notice.template_index = index;
   }
   if (level == analysis::ExposureLevel::kStmt) {
-    notice.statement = bound;
+    notice.statement = tmpl.Bind(params);
   }
 
   StatusOr<std::string> response_frame = WireCall(request_frame, s);

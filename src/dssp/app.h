@@ -137,8 +137,14 @@ class ScalableApp {
   // Exposure-dependent cache key (Section 2.2, footnote 3).
   std::string LookupKey(const templates::QueryTemplate& tmpl,
                         analysis::ExposureLevel level,
-                        const sql::Statement& bound,
                         const std::vector<sql::Value>& params) const;
+
+  // The encrypted statement text a miss sends home, reusing `key` (the
+  // LookupKey for the same call) where it already holds that text.
+  std::string EncryptedStatement(const templates::QueryTemplate& tmpl,
+                                 analysis::ExposureLevel level,
+                                 const std::string& key,
+                                 const std::vector<sql::Value>& params) const;
 
   // Sends one request frame over the configured wire path, retrying when
   // hardened. Returns the (unsealed) response frame and fills the wire

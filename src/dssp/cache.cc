@@ -159,7 +159,7 @@ void QueryCache::Insert(CacheEntry entry) {
     std::optional<sql::Value> index_key;
     const ViewIndexPlan* index = view_index_.load(std::memory_order_acquire);
     if (index != nullptr && entry.template_index != CacheEntry::kNoTemplate &&
-        entry.statement.has_value() &&
+        entry.statement != nullptr &&
         (entry.level == analysis::ExposureLevel::kStmt ||
          entry.level == analysis::ExposureLevel::kView)) {
       index_key = index->IndexKeyFor(entry.template_index, *entry.statement);

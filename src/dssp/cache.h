@@ -7,6 +7,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -24,6 +25,11 @@ namespace dssp::service {
 // One cached (possibly encrypted) query result held by the DSSP. The fields
 // below `blob` mirror exactly what the entry's exposure level reveals; a
 // hidden field is absent, so invalidation code physically cannot consult it.
+//
+// The statement and result payloads are immutable and shared: copying an
+// entry (a Lookup, a replica store) shares them instead of deep-copying an
+// AST or a result table, and a copy a reader holds stays valid after the
+// cache drops the entry.
 struct CacheEntry {
   static constexpr size_t kNoTemplate = static_cast<size_t>(-1);
 
@@ -34,11 +40,11 @@ struct CacheEntry {
   // (level >= template); kNoTemplate otherwise.
   size_t template_index = kNoTemplate;
 
-  // The bound query statement, if exposed (level >= stmt).
-  std::optional<sql::Statement> statement;
+  // The bound query statement, if exposed (level >= stmt); null otherwise.
+  std::shared_ptr<const sql::Statement> statement;
 
-  // The plaintext result, if exposed (level == view).
-  std::optional<engine::QueryResult> result;
+  // The plaintext result, if exposed (level == view); null otherwise.
+  std::shared_ptr<const engine::QueryResult> result;
 
   // What a cache hit returns to the client: the serialized result,
   // encrypted unless level == view.
@@ -96,8 +102,8 @@ class QueryCache {
     return invalidation_removals_.load(std::memory_order_relaxed);
   }
 
-  // Returns a copy of the entry with `key`, or nullopt. A hit refreshes the
-  // entry's LRU position.
+  // Returns a copy of the entry with `key` (sharing its statement and
+  // result), or nullopt. A hit refreshes the entry's LRU position.
   std::optional<CacheEntry> Lookup(const std::string& key);
 
   // Like Lookup but without the LRU side effect; for introspection.

@@ -1,5 +1,6 @@
 #include "dssp/node.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -44,46 +45,52 @@ Status DsspNode::RegisterApp(std::string app_id,
       return InvalidArgumentError(std::move(message));
     }
   }
-  WriterMutexLock lock(mu_);
-  const auto [it, inserted] = apps_.try_emplace(std::move(app_id));
-  if (!inserted) {
-    return AlreadyExistsError("application " + it->first);
+  auto state = std::make_unique<AppState>();
+  state->id = std::move(app_id);
+  state->catalog = catalog;
+  state->templates = templates;
+  MutexLock lock(registry_mu_);
+  const AppIndex& current = Apps();
+  if (current.Find(state->id) != nullptr) {
+    return AlreadyExistsError("application " + state->id);
   }
-  AppState& state = it->second;
-  state.catalog = catalog;
-  state.templates = templates;
   // Compile the invalidation plan ahead of time: one PairPlan per
   // (update template, query template) pair, so the serving hot path does an
   // O(1) lookup + compiled-program eval instead of re-running the Section 4
   // analysis per cached entry.
-  state.plan = std::make_unique<const analysis::InvalidationPlan>(
+  state->plan = std::make_unique<const analysis::InvalidationPlan>(
       analysis::InvalidationPlan::Compile(*templates, *catalog));
   // Derive the predicate index from the compiled plan and install it before
   // any entry is stored, so every statement-exposed entry gets keyed under
   // its discriminator bound.
-  state.view_index = std::make_unique<const ViewIndexPlan>(
-      ViewIndexPlan::Compile(*templates, *catalog, *state.plan));
-  state.cache.SetViewIndex(state.view_index.get());
-  state.strategy = std::make_unique<invalidation::MixedStrategy>(
-      *catalog, state.plan.get());
+  state->view_index = std::make_unique<const ViewIndexPlan>(
+      ViewIndexPlan::Compile(*templates, *catalog, *state->plan));
+  state->cache.SetViewIndex(state->view_index.get());
+  state->strategy = std::make_unique<invalidation::MixedStrategy>(
+      *catalog, state->plan.get());
+
+  // Publish the next snapshot: the current apps plus this one, in id order.
+  auto next = std::make_unique<AppIndex>();
+  next->apps = current.apps;
+  const auto pos = std::lower_bound(
+      next->apps.begin(), next->apps.end(), state->id,
+      [](const AppState* app, const std::string& id) { return app->id < id; });
+  next->apps.insert(pos, state.get());
+  states_.push_back(std::move(state));
+  apps_.store(next.get(), std::memory_order_release);
+  snapshots_.push_back(std::move(next));
   return Status::Ok();
 }
 
+DsspNode::AppState* DsspNode::AppIndex::Find(std::string_view app_id) const {
+  const auto it = std::lower_bound(
+      apps.begin(), apps.end(), app_id,
+      [](const AppState* app, std::string_view id) { return app->id < id; });
+  return it != apps.end() && (*it)->id == app_id ? *it : nullptr;
+}
+
 bool DsspNode::HasApp(std::string_view app_id) const {
-  ReaderMutexLock lock(mu_);
-  return apps_.contains(app_id);
-}
-
-DsspNode::AppState* DsspNode::FindApp(std::string_view app_id) {
-  ReaderMutexLock lock(mu_);
-  const auto it = apps_.find(app_id);
-  return it == apps_.end() ? nullptr : &it->second;
-}
-
-const DsspNode::AppState* DsspNode::FindApp(std::string_view app_id) const {
-  ReaderMutexLock lock(mu_);
-  const auto it = apps_.find(app_id);
-  return it == apps_.end() ? nullptr : &it->second;
+  return FindApp(app_id) != nullptr;
 }
 
 std::optional<CacheEntry> DsspNode::Lookup(const std::string& app_id,
@@ -229,8 +236,8 @@ size_t DsspNode::OnUpdate(const std::string& app_id,
       view.tmpl = &app->templates->queries()[entry.template_index];
       view.template_index = entry.template_index;
     }
-    if (entry.statement.has_value()) view.statement = &*entry.statement;
-    if (entry.result.has_value()) view.result = &*entry.result;
+    view.statement = entry.statement.get();
+    view.result = entry.result.get();
     return app->strategy->Decide(update_view, view) ==
            invalidation::Decision::kInvalidate;
   };
@@ -306,10 +313,10 @@ size_t DsspNode::ClearCache(const std::string& app_id) {
 }
 
 std::vector<std::string> DsspNode::AppIds() const {
-  ReaderMutexLock lock(mu_);
+  const AppIndex& index = Apps();
   std::vector<std::string> ids;
-  ids.reserve(apps_.size());
-  for (const auto& [id, app] : apps_) ids.push_back(id);
+  ids.reserve(index.apps.size());
+  for (const AppState* app : index.apps) ids.push_back(app->id);
   return ids;
 }
 
@@ -324,9 +331,8 @@ DsspStats DsspNode::stats(const std::string& app_id) const {
 }
 
 size_t DsspNode::TotalCacheSize() const {
-  ReaderMutexLock lock(mu_);
   size_t total = 0;
-  for (const auto& [id, app] : apps_) total += app.cache.size();
+  for (const AppState* app : Apps().apps) total += app->cache.size();
   return total;
 }
 

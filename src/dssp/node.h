@@ -2,7 +2,6 @@
 #define DSSP_DSSP_NODE_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -102,12 +101,14 @@ class CacheBackend {
 // The DSSP holds no application keys. Applications are isolated: lookups and
 // invalidations are scoped to one application's cache.
 //
-// Thread safety: safe for concurrent use by multiple worker threads. The
-// registry is guarded by a shared mutex (registration writes, everything
-// else reads), each application's cache is internally lock-striped (see
-// QueryCache), and stats are relaxed atomics. Operations on an app_id that
-// was never registered degrade gracefully (miss / no-op / zero) rather than
-// aborting: a shared provider must tolerate traffic for unknown tenants.
+// Thread safety: safe for concurrent use by multiple worker threads. Cache
+// operations find their app in an immutable registry snapshot read through
+// one atomic pointer, so they take no lock shared across tenants; only
+// RegisterApp locks, to publish the next snapshot. Each application's cache
+// is internally lock-striped (see QueryCache), and stats are relaxed
+// atomics. Operations on an app_id that was never registered degrade
+// gracefully (miss / no-op / zero) rather than aborting: a shared provider
+// must tolerate traffic for unknown tenants.
 class DsspNode : public CacheBackend {
  public:
   DsspNode() = default;
@@ -134,8 +135,9 @@ class DsspNode : public CacheBackend {
   bool HasApp(std::string_view app_id) const;
 
   // Cache operations for one application. Lookup returns a copy of the
-  // entry (a pointer into the cache would dangle under concurrent
-  // invalidation); unknown app ids miss.
+  // entry that shares its immutable statement and result (a pointer into
+  // the cache would dangle under concurrent invalidation; the shared
+  // payloads do not); unknown app ids miss.
   std::optional<CacheEntry> Lookup(const std::string& app_id,
                                    const std::string& key) override;
   void Store(const std::string& app_id, CacheEntry entry) override;
@@ -225,6 +227,7 @@ class DsspNode : public CacheBackend {
   };
 
   struct AppState {
+    std::string id;
     const catalog::Catalog* catalog = nullptr;
     const templates::TemplateSet* templates = nullptr;
     QueryCache cache;
@@ -239,20 +242,42 @@ class DsspNode : public CacheBackend {
     AtomicStats stats;
   };
 
+  // An immutable registry snapshot: every registered app, sorted by id.
+  struct AppIndex {
+    std::vector<AppState*> apps;
+
+    AppState* Find(std::string_view app_id) const;
+  };
+
   static Status ValidateNoticeFor(const AppState& app,
                                   const UpdateNotice& notice);
 
-  // nullptr when the app was never registered. The returned state is
-  // stable: apps are never unregistered and map nodes do not move.
-  AppState* FindApp(std::string_view app_id);
-  const AppState* FindApp(std::string_view app_id) const;
+  // The current registry snapshot.
+  const AppIndex& Apps() const {
+    return *apps_.load(std::memory_order_acquire);
+  }
 
-  // Guards the apps_ map *structure* only. AppState values are stable once
-  // inserted (apps are never unregistered, map nodes do not move), and each
-  // one is internally synchronized (lock-striped cache, atomic stats), so
-  // FindApp may hand out AppState pointers past the registry lock.
-  mutable SharedMutex mu_;
-  std::map<std::string, AppState, std::less<>> apps_ DSSP_GUARDED_BY(mu_);
+  // nullptr when the app was never registered. The returned state is
+  // stable: apps are never unregistered and each lives in its own
+  // allocation owned by `states_`.
+  AppState* FindApp(std::string_view app_id) const {
+    return Apps().Find(app_id);
+  }
+
+  // Serializes RegisterApp. It owns every AppState and every snapshot ever
+  // published: a reader may still hold an old snapshot, and apps are never
+  // unregistered, so nothing is freed before the node dies. A snapshot holds
+  // one pointer per app, so N registrations keep O(N^2) pointers alive.
+  Mutex registry_mu_;
+  std::vector<std::unique_ptr<AppState>> states_
+      DSSP_GUARDED_BY(registry_mu_);
+  std::vector<std::unique_ptr<const AppIndex>> snapshots_
+      DSSP_GUARDED_BY(registry_mu_);
+  // The newest entry of snapshots_ (no_apps_ before the first
+  // registration), published with release order after the app it adds is
+  // fully built.
+  const AppIndex no_apps_;
+  std::atomic<const AppIndex*> apps_{&no_apps_};
   std::atomic<bool> predicate_index_enabled_{true};
   std::atomic<bool> strict_registration_{false};
 };

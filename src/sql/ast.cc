@@ -1,5 +1,7 @@
 #include "sql/ast.h"
 
+#include <functional>
+
 #include "common/macros.h"
 
 namespace dssp::sql {
@@ -93,120 +95,203 @@ const char* StatementKindName(StatementKind kind) {
 
 namespace {
 
-std::string WhereToSql(const std::vector<Comparison>& where) {
-  if (where.empty()) return "";
-  std::string out = " WHERE ";
-  for (size_t i = 0; i < where.size(); ++i) {
-    if (i != 0) out += " AND ";
-    out += OperandToString(where[i].lhs);
-    out += " ";
-    out += CompareOpSymbol(where[i].op);
-    out += " ";
-    out += OperandToString(where[i].rhs);
+// Appends the text of one parameter operand to `*out`.
+using ParamAppender =
+    std::function<void(const Parameter& param, std::string* out)>;
+
+// The one SQL renderer: appends canonical text to one output buffer,
+// handing each parameter operand, in text order, to a hook (ToSql's appends
+// `?`; SqlPattern's records where the parameter's text starts).
+class SqlWriter {
+ public:
+  SqlWriter(const ParamAppender& param, std::string* out)
+      : param_(param), out_(*out) {}
+
+  void Write(const Statement& stmt) {
+    std::visit([this](const auto& node) { Write(node); }, stmt.node);
   }
+
+  void Write(const SelectStatement& stmt) {
+    out_ += "SELECT ";
+    for (size_t i = 0; i < stmt.items.size(); ++i) {
+      if (i != 0) out_ += ", ";
+      const SelectItem& item = stmt.items[i];
+      if (item.func != AggregateFunc::kNone) {
+        out_ += AggregateFuncName(item.func);
+        out_ += "(";
+        if (item.star) {
+          out_ += "*";
+        } else {
+          Column(item.column);
+        }
+        out_ += ")";
+      } else if (item.star) {
+        out_ += "*";
+      } else {
+        Column(item.column);
+      }
+    }
+    out_ += " FROM ";
+    for (size_t i = 0; i < stmt.from.size(); ++i) {
+      if (i != 0) out_ += ", ";
+      out_ += stmt.from[i].table;
+      if (!stmt.from[i].alias.empty()) {
+        out_ += " AS ";
+        out_ += stmt.from[i].alias;
+      }
+    }
+    Where(stmt.where);
+    if (!stmt.group_by.empty()) {
+      out_ += " GROUP BY ";
+      for (size_t i = 0; i < stmt.group_by.size(); ++i) {
+        if (i != 0) out_ += ", ";
+        Column(stmt.group_by[i]);
+      }
+    }
+    if (!stmt.order_by.empty()) {
+      out_ += " ORDER BY ";
+      for (size_t i = 0; i < stmt.order_by.size(); ++i) {
+        if (i != 0) out_ += ", ";
+        Column(stmt.order_by[i].column);
+        if (stmt.order_by[i].descending) out_ += " DESC";
+      }
+    }
+    if (stmt.limit.has_value()) {
+      out_ += " LIMIT ";
+      Write(*stmt.limit);
+    }
+  }
+
+  void Write(const InsertStatement& stmt) {
+    out_ += "INSERT INTO ";
+    out_ += stmt.table;
+    out_ += " (";
+    for (size_t i = 0; i < stmt.columns.size(); ++i) {
+      if (i != 0) out_ += ", ";
+      out_ += stmt.columns[i];
+    }
+    out_ += ") VALUES (";
+    for (size_t i = 0; i < stmt.values.size(); ++i) {
+      if (i != 0) out_ += ", ";
+      Write(stmt.values[i]);
+    }
+    out_ += ")";
+  }
+
+  void Write(const DeleteStatement& stmt) {
+    out_ += "DELETE FROM ";
+    out_ += stmt.table;
+    Where(stmt.where);
+  }
+
+  void Write(const UpdateStatement& stmt) {
+    out_ += "UPDATE ";
+    out_ += stmt.table;
+    out_ += " SET ";
+    for (size_t i = 0; i < stmt.set.size(); ++i) {
+      if (i != 0) out_ += ", ";
+      out_ += stmt.set[i].first;
+      out_ += " = ";
+      Write(stmt.set[i].second);
+    }
+    Where(stmt.where);
+  }
+
+ private:
+  // Same text as OperandToString, parameters through the hook.
+  void Write(const Operand& op) {
+    if (IsLiteral(op)) {
+      std::get<Value>(op).AppendSqlLiteral(&out_);
+    } else if (IsColumn(op)) {
+      Column(std::get<ColumnRef>(op));
+    } else {
+      param_(std::get<Parameter>(op), &out_);
+    }
+  }
+
+  // Same text as ColumnRef::ToString.
+  void Column(const ColumnRef& column) {
+    if (!column.table.empty()) {
+      out_ += column.table;
+      out_ += ".";
+    }
+    out_ += column.column;
+  }
+
+  void Where(const std::vector<Comparison>& where) {
+    if (where.empty()) return;
+    out_ += " WHERE ";
+    for (size_t i = 0; i < where.size(); ++i) {
+      if (i != 0) out_ += " AND ";
+      Write(where[i].lhs);
+      out_ += " ";
+      out_ += CompareOpSymbol(where[i].op);
+      out_ += " ";
+      Write(where[i].rhs);
+    }
+  }
+
+  const ParamAppender& param_;
+  std::string& out_;
+};
+
+template <typename Node>
+std::string RenderWithPlaceholders(const Node& node) {
+  static const ParamAppender kPlaceholder = [](const Parameter&,
+                                               std::string* out) {
+    *out += "?";
+  };
+  std::string out;
+  SqlWriter(kPlaceholder, &out).Write(node);
   return out;
 }
 
 }  // namespace
 
 std::string ToSql(const SelectStatement& stmt) {
-  std::string out = "SELECT ";
-  for (size_t i = 0; i < stmt.items.size(); ++i) {
-    if (i != 0) out += ", ";
-    const SelectItem& item = stmt.items[i];
-    if (item.func != AggregateFunc::kNone) {
-      out += AggregateFuncName(item.func);
-      out += "(";
-      out += item.star ? "*" : item.column.ToString();
-      out += ")";
-    } else if (item.star) {
-      out += "*";
-    } else {
-      out += item.column.ToString();
-    }
-  }
-  out += " FROM ";
-  for (size_t i = 0; i < stmt.from.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += stmt.from[i].table;
-    if (!stmt.from[i].alias.empty()) {
-      out += " AS ";
-      out += stmt.from[i].alias;
-    }
-  }
-  out += WhereToSql(stmt.where);
-  if (!stmt.group_by.empty()) {
-    out += " GROUP BY ";
-    for (size_t i = 0; i < stmt.group_by.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += stmt.group_by[i].ToString();
-    }
-  }
-  if (!stmt.order_by.empty()) {
-    out += " ORDER BY ";
-    for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += stmt.order_by[i].column.ToString();
-      if (stmt.order_by[i].descending) out += " DESC";
-    }
-  }
-  if (stmt.limit.has_value()) {
-    out += " LIMIT ";
-    out += OperandToString(*stmt.limit);
-  }
-  return out;
-}
-
-std::string ToSql(const InsertStatement& stmt) {
-  std::string out = "INSERT INTO ";
-  out += stmt.table;
-  out += " (";
-  for (size_t i = 0; i < stmt.columns.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += stmt.columns[i];
-  }
-  out += ") VALUES (";
-  for (size_t i = 0; i < stmt.values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += OperandToString(stmt.values[i]);
-  }
-  out += ")";
-  return out;
-}
-
-std::string ToSql(const DeleteStatement& stmt) {
-  std::string out = "DELETE FROM ";
-  out += stmt.table;
-  out += WhereToSql(stmt.where);
-  return out;
-}
-
-std::string ToSql(const UpdateStatement& stmt) {
-  std::string out = "UPDATE ";
-  out += stmt.table;
-  out += " SET ";
-  for (size_t i = 0; i < stmt.set.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += stmt.set[i].first;
-    out += " = ";
-    out += OperandToString(stmt.set[i].second);
-  }
-  out += WhereToSql(stmt.where);
-  return out;
+  return RenderWithPlaceholders(stmt);
 }
 
 std::string ToSql(const Statement& stmt) {
-  switch (stmt.kind()) {
-    case StatementKind::kSelect:
-      return ToSql(stmt.select());
-    case StatementKind::kInsert:
-      return ToSql(stmt.insert());
-    case StatementKind::kDelete:
-      return ToSql(stmt.del());
-    case StatementKind::kUpdate:
-      return ToSql(stmt.update());
+  return RenderWithPlaceholders(stmt);
+}
+
+SqlPattern::SqlPattern(const Statement& stmt) {
+  // Render once, recording where each parameter's text would start; the
+  // text between those offsets is the literal fragments.
+  std::string text;
+  std::vector<size_t> offsets;
+  const ParamAppender record = [&](const Parameter& param, std::string* out) {
+    offsets.push_back(out->size());
+    slots_.push_back(param.index);
+  };
+  SqlWriter(record, &text).Write(stmt);
+  size_t begin = 0;
+  for (size_t offset : offsets) {
+    fragments_.push_back(text.substr(begin, offset - begin));
+    begin = offset;
   }
-  DSSP_UNREACHABLE("bad StatementKind");
+  fragments_.push_back(text.substr(begin));
+  fragments_size_ = text.size();
+}
+
+void SqlPattern::AppendBound(const std::vector<Value>& params,
+                             std::string* out) const {
+  if (fragments_.empty()) return;  // Default-constructed: no statement.
+  out->reserve(out->size() + fragments_size_ + 16 * slots_.size());
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    *out += fragments_[i];
+    const int index = slots_[i];
+    DSSP_CHECK(index >= 0 && static_cast<size_t>(index) < params.size());
+    params[index].AppendSqlLiteral(out);
+  }
+  *out += fragments_.back();
+}
+
+std::string SqlPattern::Bound(const std::vector<Value>& params) const {
+  std::string out;
+  AppendBound(params, &out);
+  return out;
 }
 
 namespace {

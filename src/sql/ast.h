@@ -187,9 +187,27 @@ struct Statement {
 // equivalent statement; parameters print as `?`.
 std::string ToSql(const Statement& stmt);
 std::string ToSql(const SelectStatement& stmt);
-std::string ToSql(const InsertStatement& stmt);
-std::string ToSql(const DeleteStatement& stmt);
-std::string ToSql(const UpdateStatement& stmt);
+
+// A statement's canonical SQL text split at its parameter operands: literal
+// fragments with one parameter slot between each pair. It is rendered once,
+// per template, by the same renderer as ToSql (only the parameter hook
+// differs), so AppendBound(params) produces exactly the bytes of
+// ToSql(BindParameters(stmt, params)) without building the bound AST.
+class SqlPattern {
+ public:
+  SqlPattern() = default;
+  explicit SqlPattern(const Statement& stmt);
+
+  // Appends the text of the statement bound to `params`. DSSP_CHECKs that
+  // `params` covers every slot, like BindParameters.
+  void AppendBound(const std::vector<Value>& params, std::string* out) const;
+  std::string Bound(const std::vector<Value>& params) const;
+
+ private:
+  std::vector<std::string> fragments_;  // slots_.size() + 1 of them.
+  std::vector<int> slots_;              // Parameter index of each slot.
+  size_t fragments_size_ = 0;           // Total fragment bytes.
+};
 
 // Replaces every Parameter operand with the corresponding literal from
 // `params`. DSSP_CHECKs that `params` covers all parameter indexes.

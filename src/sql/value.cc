@@ -1,7 +1,9 @@
 #include "sql/value.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 
 #include "common/hash.h"
 
@@ -45,32 +47,44 @@ int Value::Compare(const Value& other) const {
 }
 
 std::string Value::ToSqlLiteral() const {
+  std::string out;
+  AppendSqlLiteral(&out);
+  return out;
+}
+
+void Value::AppendSqlLiteral(std::string* out) const {
   switch (type()) {
     case ValueType::kNull:
-      return "NULL";
-    case ValueType::kInt64:
-      return std::to_string(AsInt64());
+      *out += "NULL";
+      return;
+    case ValueType::kInt64: {
+      char buf[24];
+      const auto result = std::to_chars(buf, buf + sizeof(buf), AsInt64());
+      out->append(buf, result.ptr);
+      return;
+    }
     case ValueType::kDouble: {
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", AsDouble());
-      std::string s(buf);
+      const int n = std::snprintf(buf, sizeof(buf), "%.17g", AsDouble());
+      const std::string_view s(buf, static_cast<size_t>(n));
+      *out += s;
       // Ensure the literal re-parses as a double, not an integer.
-      if (s.find('.') == std::string::npos &&
-          s.find('e') == std::string::npos &&
-          s.find("inf") == std::string::npos &&
-          s.find("nan") == std::string::npos) {
-        s += ".0";
+      if (s.find('.') == std::string_view::npos &&
+          s.find('e') == std::string_view::npos &&
+          s.find("inf") == std::string_view::npos &&
+          s.find("nan") == std::string_view::npos) {
+        *out += ".0";
       }
-      return s;
+      return;
     }
     case ValueType::kString: {
-      std::string out = "'";
+      *out += '\'';
       for (char c : AsString()) {
-        if (c == '\'') out += "''";
-        else out += c;
+        if (c == '\'') *out += '\'';
+        *out += c;
       }
-      out += "'";
-      return out;
+      *out += '\'';
+      return;
     }
   }
   DSSP_UNREACHABLE("bad value type");

@@ -85,6 +85,9 @@ class Value {
   // doubling). Round-trips through the parser.
   std::string ToSqlLiteral() const;
 
+  // Appends ToSqlLiteral()'s text to `*out` without a temporary string.
+  void AppendSqlLiteral(std::string* out) const;
+
   // Compact unambiguous encoding used for hashing/cache keys (type tag +
   // payload, length-prefixed).
   std::string EncodeForKey() const;

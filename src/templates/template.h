@@ -79,6 +79,10 @@ class QueryTemplate {
     return sql::BindParameters(statement_, params);
   }
 
+  // The template's SQL text with parameter slots: sql_pattern().Bound(p) is
+  // byte-for-byte sql::ToSql(Bind(p)), without building the bound AST.
+  const sql::SqlPattern& sql_pattern() const { return sql_pattern_; }
+
   const AttributeSet& selection_attributes() const { return s_; }
   const AttributeSet& preserved_attributes() const { return p_; }
 
@@ -115,6 +119,7 @@ class QueryTemplate {
 
   std::string id_;
   sql::Statement statement_;
+  sql::SqlPattern sql_pattern_;
   AttributeSet s_;
   AttributeSet p_;
   std::vector<OutputColumn> output_columns_;
@@ -143,6 +148,9 @@ class UpdateTemplate {
     return sql::BindParameters(statement_, params);
   }
 
+  // As QueryTemplate::sql_pattern().
+  const sql::SqlPattern& sql_pattern() const { return sql_pattern_; }
+
   UpdateClass update_class() const { return class_; }
   const std::string& table() const { return table_; }
 
@@ -156,6 +164,7 @@ class UpdateTemplate {
 
   std::string id_;
   sql::Statement statement_;
+  sql::SqlPattern sql_pattern_;
   UpdateClass class_ = UpdateClass::kInsertion;
   std::string table_;
   AttributeSet s_;

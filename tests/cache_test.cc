@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "dssp/cache.h"
+#include "sql/parser.h"
 
 namespace dssp::service {
 namespace {
@@ -47,6 +50,56 @@ TEST(QueryCacheTest, InsertLookupErase) {
   cache.Erase("k1");
   EXPECT_FALSE(cache.Lookup("k1").has_value());
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// An entry whose statement and result only the cache owns once inserted.
+CacheEntry SharedPayloadEntry(const std::string& key) {
+  CacheEntry entry = Entry(key, 0);
+  entry.statement = std::make_shared<const sql::Statement>(
+      sql::ParseOrDie("SELECT a FROM t WHERE a = 7"));
+  entry.result = std::make_shared<const engine::QueryResult>(
+      std::vector<std::string>{"a"},
+      std::vector<engine::Row>{{sql::Value(7)}, {sql::Value(7)}},
+      /*ordered=*/false);
+  return entry;
+}
+
+TEST(QueryCacheTest, LookupsShareStatementAndResult) {
+  QueryCache cache;
+  cache.Insert(SharedPayloadEntry("k"));
+  const std::optional<CacheEntry> a = cache.Lookup("k");
+  const std::optional<CacheEntry> b = cache.Lookup("k");
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  ASSERT_NE(a->statement, nullptr);
+  ASSERT_NE(a->result, nullptr);
+  EXPECT_EQ(a->statement.get(), b->statement.get());
+  EXPECT_EQ(a->result.get(), b->result.get());
+  EXPECT_EQ(cache.Peek("k")->statement.get(), a->statement.get());
+}
+
+// A copy a reader holds keeps its payloads alive after the cache drops the
+// entry, whichever way it is dropped (ASan checks the reads below).
+TEST(QueryCacheTest, HeldCopyOutlivesRemoval) {
+  const std::vector<std::function<void(QueryCache&)>> removals = {
+      [](QueryCache& cache) { cache.Erase("k"); },
+      [](QueryCache& cache) {
+        cache.InvalidateEntries([](size_t) { return true; },
+                                [](const CacheEntry&) { return true; });
+      },
+      [](QueryCache& cache) { cache.Clear(); },
+  };
+  for (size_t i = 0; i < removals.size(); ++i) {
+    QueryCache cache;
+    cache.Insert(SharedPayloadEntry("k"));
+    const std::optional<CacheEntry> held = cache.Lookup("k");
+    ASSERT_TRUE(held.has_value());
+    removals[i](cache);
+    EXPECT_FALSE(cache.Lookup("k").has_value()) << "removal " << i;
+    EXPECT_EQ(sql::ToSql(*held->statement), "SELECT a FROM t WHERE a = 7")
+        << "removal " << i;
+    ASSERT_EQ(held->result->num_rows(), 2u) << "removal " << i;
+    EXPECT_EQ(held->result->rows()[1][0], sql::Value(7)) << "removal " << i;
+  }
 }
 
 TEST(QueryCacheTest, EraseMissingIsNoop) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/hash.h"
 #include "common/random.h"
@@ -76,6 +77,27 @@ TEST(StatusOrTest, AssignOrReturnPropagates) {
   EXPECT_EQ(out, 2);
   EXPECT_EQ(UseAssignOrReturn(6, &out).code(),
             StatusCode::kInvalidArgument);  // 3 is odd.
+}
+
+// A StatusOr whose error message lives on the heap, so reading it after the
+// temporary dies is a use-after-free the sanitizers report.
+StatusOr<std::string> Lookup(bool found) {
+  if (!found) {
+    return NotFoundError("no entry under this rather long key: " +
+                         std::string(64, 'k'));
+  }
+  return std::string(64, 'v');
+}
+
+// DSSP_CHECK_OK(f().status()) checks the Status inside a temporary StatusOr
+// that dies at the end of the full-expression; the macro must hold a copy.
+TEST(CheckOkTest, StatusOfTemporaryStatusOrOk) {
+  DSSP_CHECK_OK(Lookup(true).status());
+}
+
+TEST(CheckOkDeathTest, StatusOfTemporaryStatusOrError) {
+  EXPECT_DEATH(DSSP_CHECK_OK(Lookup(false).status()),
+               "DSSP_CHECK_OK failed.*no entry under this rather long key");
 }
 
 // ----- SipHash -----

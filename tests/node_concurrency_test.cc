@@ -1,5 +1,6 @@
 // Race-hunting smoke tests for the sharded DsspNode and QueryCache: mixed
-// lookup/store/update/admin traffic from real threads across two tenants.
+// lookup/store/update/admin traffic from real threads across two tenants,
+// and tenant registration racing with that traffic.
 // Run under ThreadSanitizer (cmake -DDSSP_TSAN=ON) to hunt races; the
 // assertions here only check that counters and indexes stay consistent.
 
@@ -135,6 +136,83 @@ TEST_F(NodeConcurrencyTest, MixedTrafficAcrossTenantsIsConsistent) {
     if (entry.has_value()) {
       EXPECT_EQ(entry->key.rfind(tenant + ":", 0), 0u);
     }
+  }
+}
+
+// New tenants register while registered ones serve traffic. Workers also
+// hit the late tenants' ids, so a tenant is used as soon as its registry
+// snapshot is published (TSan checks that the publication orders the app's
+// construction before those uses).
+TEST_F(NodeConcurrencyTest, RegistrationRacesWithTraffic) {
+  constexpr int kLateTenants = 16;
+  constexpr int kOpsPerThread = 3000;
+  const std::vector<std::string> tenants = {"tenant-a", "tenant-b"};
+  UpdateNotice notice;
+  notice.level = ExposureLevel::kTemplate;
+  notice.template_index = 0;
+
+  std::atomic<int> registered{0};
+  std::vector<std::thread> threads;
+  for (const std::string& tenant : tenants) {
+    threads.emplace_back([&, tenant] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::string key = tenant + ":k" + std::to_string(i % 64);
+        switch (i % 4) {
+          case 0:
+            node_.Store(tenant, TemplateEntry(key, i % 3));
+            break;
+          case 1:
+            node_.OnUpdate(tenant, notice);
+            break;
+          default:
+            node_.Lookup(tenant, key);
+            break;
+        }
+        // A late tenant, registered or not yet: unknown ids just miss.
+        const std::string late =
+            "late-" + std::to_string(i % (kLateTenants + 1));
+        if (i % 2 == 0) {
+          node_.Store(late, TemplateEntry(late + ":k", 0));
+        } else {
+          node_.Lookup(late, late + ":k");
+          node_.OnUpdate(late, notice);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kLateTenants; ++i) {
+      EXPECT_TRUE(node_
+                      .RegisterApp("late-" + std::to_string(i),
+                                   &apps_[0]->home().database().catalog(),
+                                   &apps_[0]->templates())
+                      .ok());
+      registered.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  ASSERT_EQ(registered.load(), kLateTenants);
+  EXPECT_EQ(node_.AppIds().size(), tenants.size() + kLateTenants);
+  for (int i = 0; i < kLateTenants; ++i) {
+    const std::string late = "late-" + std::to_string(i);
+    EXPECT_TRUE(node_.HasApp(late));
+    const DsspStats stats = node_.stats(late);
+    EXPECT_EQ(stats.hits + stats.misses, stats.lookups) << late;
+  }
+  EXPECT_FALSE(node_.HasApp("late-" + std::to_string(kLateTenants)));
+  // Registering an id twice still fails, after the race as before it.
+  EXPECT_FALSE(node_
+                   .RegisterApp("late-0",
+                                &apps_[0]->home().database().catalog(),
+                                &apps_[0]->templates())
+                   .ok());
+  for (const std::string& tenant : tenants) {
+    const DsspStats stats = node_.stats(tenant);
+    EXPECT_EQ(stats.lookups, static_cast<uint64_t>(kOpsPerThread / 2));
+    EXPECT_EQ(stats.stores, static_cast<uint64_t>(kOpsPerThread / 4));
+    EXPECT_EQ(stats.updates_observed,
+              static_cast<uint64_t>(kOpsPerThread / 4));
   }
 }
 

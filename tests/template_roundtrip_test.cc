@@ -2,13 +2,21 @@
 // print -> parse -> re-analyze round trip with identical derived analysis
 // artifacts (attribute sets, classes, assumption flags, IPM relations).
 // This pins down the parser/printer pair and guarantees the static analysis
-// is a function of the SQL text, not of incidental AST shape.
+// is a function of the SQL text, not of incidental AST shape. It also holds
+// each template's precomputed SQL pattern to the printer: rendering bound
+// parameters into the pattern must equal printing the bound AST.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "analysis/ipm.h"
+#include "common/random.h"
 #include "crypto/keyring.h"
 #include "dssp/app.h"
+#include "sql/parser.h"
 #include "workloads/application.h"
 
 namespace dssp::templates {
@@ -86,6 +94,94 @@ TEST_P(RoundTripTest, IpmIsAFunctionOfTheSqlText) {
       EXPECT_EQ(original.pair(i, j).a_is_zero, again.pair(i, j).a_is_zero);
       EXPECT_EQ(original.pair(i, j).b_equals_a, again.pair(i, j).b_equals_a);
       EXPECT_EQ(original.pair(i, j).c_equals_b, again.pair(i, j).c_equals_b);
+    }
+  }
+}
+
+// Parameter values chosen to stress literal rendering: NULL, negative and
+// extreme integers, doubles that print without a '.' (so need ".0"),
+// exponents, inf/nan, and strings holding quotes and '?'.
+sql::Value RandomParam(Rng& rng) {
+  switch (rng.NextBelow(12)) {
+    case 0:
+      return sql::Value::Null();
+    case 1:
+      return sql::Value(-static_cast<int64_t>(rng.NextBelow(1000000)));
+    case 2:
+      return sql::Value(rng.NextBool(0.5)
+                            ? std::numeric_limits<int64_t>::min()
+                            : std::numeric_limits<int64_t>::max());
+    case 3:
+      return sql::Value(static_cast<double>(rng.NextBelow(2000)) - 1000.0);
+    case 4:
+      return sql::Value(rng.NextDouble() * 1e300);
+    case 5:
+      return sql::Value(rng.NextBool(0.5)
+                            ? std::numeric_limits<double>::infinity()
+                            : -std::numeric_limits<double>::infinity());
+    case 6:
+      return sql::Value(std::numeric_limits<double>::quiet_NaN());
+    case 7:
+      return sql::Value(std::string("it's"));
+    case 8:
+      return sql::Value(std::string("? AND 1 = ?"));
+    case 9:
+      return sql::Value(std::string("''?'"));
+    case 10:
+      return sql::Value(std::string());
+    default:
+      return sql::Value(static_cast<int64_t>(rng.NextBelow(1000)));
+  }
+}
+
+std::vector<sql::Value> RandomParams(Rng& rng, int count) {
+  std::vector<sql::Value> params;
+  for (int i = 0; i < count; ++i) params.push_back(RandomParam(rng));
+  return params;
+}
+
+// The precomputed SQL pattern renders exactly ToSql(Bind(params)): cache
+// keys, their shard and ring placement all depend on these bytes.
+TEST_P(RoundTripTest, SqlPatternMatchesToSqlOfBind) {
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    for (const QueryTemplate& q : app_->templates().queries()) {
+      const std::vector<sql::Value> params = RandomParams(rng, q.num_params());
+      ASSERT_EQ(q.sql_pattern().Bound(params), sql::ToSql(q.Bind(params)))
+          << q.id();
+    }
+    for (const UpdateTemplate& u : app_->templates().updates()) {
+      const std::vector<sql::Value> params = RandomParams(rng, u.num_params());
+      ASSERT_EQ(u.sql_pattern().Bound(params), sql::ToSql(u.Bind(params)))
+          << u.id();
+    }
+  }
+}
+
+// Statements no workload has: a '?' inside a string literal (text, not a
+// parameter), LIMIT bound to a parameter, and every operand position.
+TEST(SqlPatternTest, SyntheticStatementsMatchToSqlOfBind) {
+  const char* const kStatements[] = {
+      "SELECT a FROM t WHERE b = 'what?' AND c = ? LIMIT ?",
+      "SELECT x.a, COUNT(*) FROM t AS x, u WHERE x.a = u.b AND ? < x.c "
+      "GROUP BY x.a ORDER BY x.a DESC LIMIT 10",
+      "SELECT * FROM t WHERE a = '?' AND b >= ? AND c <= 'it''s ?'",
+      "INSERT INTO t (a, b, c) VALUES (?, '?', ?)",
+      "UPDATE t SET a = ?, b = 'x?y' WHERE c = ? AND d > 2.5",
+      "DELETE FROM t WHERE a = ? AND b < '?x?'",
+      "SELECT a FROM t WHERE b = 1",
+  };
+  Rng rng(29);
+  for (const char* text : kStatements) {
+    const StatusOr<sql::Statement> stmt = sql::Parse(text);
+    ASSERT_TRUE(stmt.ok()) << text << ": " << stmt.status().ToString();
+    const sql::SqlPattern pattern(*stmt);
+    for (int trial = 0; trial < 100; ++trial) {
+      const std::vector<sql::Value> params =
+          RandomParams(rng, stmt->num_params);
+      ASSERT_EQ(pattern.Bound(params),
+                sql::ToSql(sql::BindParameters(*stmt, params)))
+          << text;
     }
   }
 }

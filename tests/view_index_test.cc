@@ -263,9 +263,12 @@ class NodePairHarness {
     entry.blob = "blob:" + entry.key;
     if (level >= ExposureLevel::kTemplate) entry.template_index = qi;
     if (level >= ExposureLevel::kStmt) {
-      entry.statement = templates_->queries()[qi].Bind(params);
+      entry.statement = std::make_shared<const sql::Statement>(
+          templates_->queries()[qi].Bind(params));
     }
-    if (level == ExposureLevel::kView) entry.result.emplace();
+    if (level == ExposureLevel::kView) {
+      entry.result = std::make_shared<const engine::QueryResult>();
+    }
     keys_.push_back(entry.key);
     probe_node_.Store(kApp, entry);
     scan_node_.Store(kApp, std::move(entry));
@@ -477,7 +480,8 @@ TEST(ViewIndexDifferentialTest, ReinsertedEntryIsReindexed) {
     entry.key = "k";  // Same key both times.
     entry.level = ExposureLevel::kStmt;
     entry.template_index = 0;
-    entry.statement = templates.queries()[0].Bind({Value(bound)});
+    entry.statement = std::make_shared<const sql::Statement>(
+        templates.queries()[0].Bind({Value(bound)}));
     entry.blob = "b";
     node.Store("app", std::move(entry));
   };
