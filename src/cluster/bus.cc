@@ -32,7 +32,16 @@ std::string SealedError(StatusCode code, std::string message) {
 
 }  // namespace
 
-StatusOr<uint64_t> NodeChannel::ApplyNoticeLocked(std::string_view inner) {
+Mutex& NodeChannel::ApplyLockFor(const std::string& app_id) {
+  MutexLock lock(apply_locks_mu_);
+  const auto it = apply_locks_.find(app_id);
+  if (it != apply_locks_.end()) return *it->second;
+  if (!node_.HasApp(app_id)) return unknown_app_apply_mu_;
+  return *apply_locks_.emplace(app_id, std::make_unique<Mutex>())
+              .first->second;
+}
+
+StatusOr<uint64_t> NodeChannel::ApplyNotice(std::string_view inner) {
   DSSP_ASSIGN_OR_RETURN(InvalidateRequest request,
                         service::DecodeInvalidateRequest(inner));
 
@@ -61,13 +70,20 @@ StatusOr<uint64_t> NodeChannel::ApplyNoticeLocked(std::string_view inner) {
   // duplicate.
   DSSP_RETURN_IF_ERROR(node_.ValidateNotice(request.app_id, notice));
 
-  const auto it = applied_nonces_.find(request.nonce);
-  if (it != applied_nonces_.end()) {
-    duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+  // The app lock spans check, apply and record, so a concurrent duplicate
+  // of this nonce (same app) cannot slip between them.
+  MutexLock apply_lock(ApplyLockFor(request.app_id));
+  {
+    MutexLock lock(dedup_mu_);
+    const auto it = applied_nonces_.find(request.nonce);
+    if (it != applied_nonces_.end()) {
+      duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
+    }
   }
   const uint64_t invalidated = node_.OnUpdate(request.app_id, notice);
   notices_applied_.fetch_add(1, std::memory_order_relaxed);
+  MutexLock lock(dedup_mu_);
   applied_nonces_.emplace(request.nonce, invalidated);
   dedup_fifo_.push_back(request.nonce);
   if (dedup_fifo_.size() > kDedupWindow) {
@@ -85,22 +101,25 @@ std::string NodeChannel::HandleBatch(std::string_view inner) {
   }
   batches_received_.fetch_add(1, std::memory_order_relaxed);
 
-  MutexLock lock(dedup_mu_);
   // At-most-once for the whole envelope: a retried batch (response lost on
   // the wire) replays the stored acks byte for byte instead of touching the
-  // node again. The per-notice nonce check below would suppress re-applies
-  // anyway, but replaying the acks keeps duplicate accounting exact.
-  const auto it = applied_batches_.find(batch->nonce);
-  if (it != applied_batches_.end()) {
-    duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+  // node again. The per-notice nonce check in ApplyNotice would suppress
+  // re-applies anyway, but replaying the acks keeps duplicate accounting
+  // exact.
+  {
+    MutexLock lock(batch_mu_);
+    const auto it = applied_batches_.find(batch->nonce);
+    if (it != applied_batches_.end()) {
+      duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
+    }
   }
 
   InvalidateBatchResponse response;
   response.acks.reserve(batch->notices.size());
   for (const std::string& notice_frame : batch->notices) {
     InvalidateBatchResponse::Ack ack;
-    auto applied = ApplyNoticeLocked(notice_frame);
+    auto applied = ApplyNotice(notice_frame);
     if (applied.ok()) {
       ack.accepted = true;
       ack.entries_invalidated = *applied;
@@ -111,11 +130,13 @@ std::string NodeChannel::HandleBatch(std::string_view inner) {
     response.acks.push_back(ack);
   }
   std::string encoded = service::Encode(response);
-  applied_batches_.emplace(batch->nonce, encoded);
-  batch_fifo_.push_back(batch->nonce);
-  if (batch_fifo_.size() > kDedupWindow) {
-    applied_batches_.erase(batch_fifo_.front());
-    batch_fifo_.pop_front();
+  MutexLock lock(batch_mu_);
+  if (applied_batches_.emplace(batch->nonce, encoded).second) {
+    batch_fifo_.push_back(batch->nonce);
+    if (batch_fifo_.size() > kDedupWindow) {
+      applied_batches_.erase(batch_fifo_.front());
+      batch_fifo_.pop_front();
+    }
   }
   return encoded;
 }
@@ -139,11 +160,7 @@ ChannelOutcome NodeChannel::RoundTrip(std::string_view frame) {
     return outcome;
   }
 
-  StatusOr<uint64_t> invalidated = uint64_t{0};
-  {
-    MutexLock lock(dedup_mu_);
-    invalidated = ApplyNoticeLocked(*inner);
-  }
+  const StatusOr<uint64_t> invalidated = ApplyNotice(*inner);
   if (!invalidated.ok()) {
     outcome.response = SealedError(invalidated.status().code(),
                                    invalidated.status().message());
@@ -158,8 +175,13 @@ InvalidationBus::InvalidationBus(BusOptions options)
 
 void InvalidationBus::AddMember(int node, service::Channel* channel) {
   DSSP_CHECK(channel != nullptr);
+  {
+    MutexLock lock(lanes_mu_);
+    DSSP_CHECK(apps_.empty());  // Lanes are sized to the member set.
+  }
   auto member = std::make_unique<Member>();
   member->node = node;
+  member->slot = members_.size();
   member->channel = channel;
   member->client = std::make_unique<service::RetryingClient>(
       channel, options_.retry,
@@ -173,18 +195,58 @@ void InvalidationBus::SetWireObserver(
   observer_ = std::move(observer);
 }
 
-void InvalidationBus::SetDeferred(int node, bool deferred) {
+InvalidationBus::Member& InvalidationBus::MemberAt(int node) const {
   const auto it = members_.find(node);
   DSSP_CHECK(it != members_.end());
-  MutexLock lock(it->second->mu);
-  it->second->deferred = deferred;
+  return *it->second;
+}
+
+void InvalidationBus::SetDeferred(int node, bool deferred) {
+  MemberAt(node).deferred.store(deferred, std::memory_order_release);
+}
+
+InvalidationBus::AppLanes& InvalidationBus::LanesFor(
+    const std::string& app_id) {
+  MutexLock lock(lanes_mu_);
+  const auto it = apps_.find(app_id);
+  if (it != apps_.end()) return *it->second;
+  auto lanes = std::make_unique<AppLanes>();
+  lanes->lanes.reserve(members_.size());
+  for (size_t i = 0; i < members_.size(); ++i) {
+    lanes->lanes.push_back(std::make_unique<Lane>());
+  }
+  return *apps_.emplace(app_id, std::move(lanes)).first->second;
+}
+
+std::vector<InvalidationBus::AppLanes*> InvalidationBus::AllLanes() const {
+  MutexLock lock(lanes_mu_);
+  std::vector<AppLanes*> all;
+  all.reserve(apps_.size());
+  for (const auto& [app_id, lanes] : apps_) all.push_back(lanes.get());
+  return all;
+}
+
+void InvalidationBus::Settle(Member& member, Lane& lane) {
+  const size_t now = lane.queue.size();
+  const size_t before = lane.settled.load(std::memory_order_relaxed);
+  if (now > before) {
+    member.pending.fetch_add(now - before, std::memory_order_release);
+  } else if (now < before) {
+    member.pending.fetch_sub(before - now, std::memory_order_release);
+  }
+  lane.settled.store(now, std::memory_order_relaxed);
+  if (lane.unsettled_dropped > 0) {
+    member.dropped.fetch_add(lane.unsettled_dropped,
+                             std::memory_order_release);
+    lane.unsettled_dropped = 0;
+  }
 }
 
 StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendSingleLocked(
-    Member& member) {
+    Member& member, Lane& lane) {
   DrainResult result;
   service::WireStats ws;
-  auto response = member.client->Call(member.queue.front(), &ws);
+  auto response = member.client->Call(lane.queue.front(), &ws);
   wire_retries_.fetch_add(ws.retries, std::memory_order_relaxed);
   if (!response.ok()) {
     // Unreachable through the whole retry budget: the frame (and everything
@@ -216,18 +278,18 @@ StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendSingleLocked(
     // notice; Dropped() exposes that to the router so stale reads stop
     // trusting its backlog count.
     dropped_frames_.fetch_add(1, std::memory_order_relaxed);
-    ++member.dropped;
+    ++lane.unsettled_dropped;
   }
-  member.queue.pop_front();
+  lane.queue.pop_front();
   return result;
 }
 
 StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendBatchLocked(
-    Member& member, size_t count) {
+    Member& member, Lane& lane, size_t count) {
   InvalidateBatchRequest batch;
   batch.nonce = next_nonce_.fetch_add(1, std::memory_order_relaxed);
   batch.notices.reserve(count);
-  for (size_t i = 0; i < count; ++i) batch.notices.push_back(member.queue[i]);
+  for (size_t i = 0; i < count; ++i) batch.notices.push_back(lane.queue[i]);
 
   service::WireStats ws;
   auto response = member.client->Call(service::Encode(batch), &ws);
@@ -268,7 +330,7 @@ StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendBatchLocked(
         delivered_notices_.fetch_add(1, std::memory_order_relaxed);
       } else {
         dropped_frames_.fetch_add(1, std::memory_order_relaxed);
-        ++member.dropped;
+        ++lane.unsettled_dropped;
       }
     }
   } else {
@@ -276,24 +338,43 @@ StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendBatchLocked(
     // we built it ourselves) or answered with a malformed ack list.
     // Deterministic, so drop all of it.
     dropped_frames_.fetch_add(count, std::memory_order_relaxed);
-    member.dropped += count;
+    lane.unsettled_dropped += count;
   }
-  member.queue.erase(member.queue.begin(),
-                     member.queue.begin() + static_cast<ptrdiff_t>(count));
+  lane.queue.erase(lane.queue.begin(),
+                   lane.queue.begin() + static_cast<ptrdiff_t>(count));
   return result;
 }
 
 StatusOr<InvalidationBus::DrainResult> InvalidationBus::DrainLocked(
-    Member& member) {
+    Member& member, Lane& lane) {
   const size_t max_batch = options_.max_batch > 0 ? options_.max_batch : 1;
   DrainResult total;
-  while (!member.queue.empty()) {
-    const size_t count = std::min(max_batch, member.queue.size());
-    auto sent = count > 1 ? SendBatchLocked(member, count)
-                          : SendSingleLocked(member);
+  while (!lane.queue.empty()) {
+    const size_t count = std::min(max_batch, lane.queue.size());
+    auto sent = count > 1 ? SendBatchLocked(member, lane, count)
+                          : SendSingleLocked(member, lane);
     if (!sent.ok()) return sent.status();
     total.frames += sent->frames;
     total.entries += sent->entries;
+  }
+  return total;
+}
+
+StatusOr<InvalidationBus::DrainResult> InvalidationBus::DrainLanes(
+    Member& member, const Lane* skip, bool only_settled) {
+  DrainResult total;
+  for (AppLanes* app : AllLanes()) {
+    Lane& lane = *app->lanes[member.slot];
+    if (&lane == skip) continue;
+    if (only_settled && lane.settled.load(std::memory_order_relaxed) == 0) {
+      continue;
+    }
+    MutexLock lock(lane.mu);
+    auto drained = DrainLocked(member, lane);
+    Settle(member, lane);
+    if (!drained.ok()) return drained.status();
+    total.frames += drained->frames;
+    total.entries += drained->entries;
   }
   return total;
 }
@@ -315,17 +396,36 @@ PublishOutcome InvalidationBus::Publish(const std::string& app_id,
   request.nonce = next_nonce_.fetch_add(1, std::memory_order_relaxed);
   const std::string frame = service::Encode(request);
 
+  AppLanes& app = LanesFor(app_id);
   PublishOutcome outcome;
   for (auto& [node, member] : members_) {
-    MutexLock lock(member->mu);
-    member->queue.push_back(frame);
-    if (member->deferred || member->queue.size() <= options_.bus_lag) {
-      ++outcome.deferred_members;
-      continue;
-    }
-    auto drained = DrainLocked(*member);
-    if (drained.ok()) {
+    Lane& lane = *app.lanes[member->slot];
+    {
+      MutexLock lock(lane.mu);
+      lane.queue.push_back(frame);
+      // The member's backlog over all lanes: the others' settled sizes plus
+      // this lane's actual queue.
+      const size_t backlog =
+          member->pending.load(std::memory_order_acquire) +
+          lane.queue.size() - lane.settled.load(std::memory_order_relaxed);
+      if (member->deferred.load(std::memory_order_acquire) ||
+          backlog <= options_.bus_lag) {
+        Settle(*member, lane);
+        ++outcome.deferred_members;
+        continue;
+      }
+      auto drained = DrainLocked(*member, lane);
+      Settle(*member, lane);
+      if (!drained.ok()) {
+        ++outcome.failed_members;
+        continue;
+      }
       outcome.entries_invalidated += drained->entries;
+    }
+    // Over the bound: the member's other lanes catch up too.
+    auto rest = DrainLanes(*member, &lane, /*only_settled=*/true);
+    if (rest.ok()) {
+      outcome.entries_invalidated += rest->entries;
       ++outcome.delivered_members;
     } else {
       ++outcome.failed_members;
@@ -335,25 +435,18 @@ PublishOutcome InvalidationBus::Publish(const std::string& app_id,
 }
 
 StatusOr<uint64_t> InvalidationBus::Flush(int node) {
-  const auto it = members_.find(node);
-  DSSP_CHECK(it != members_.end());
-  MutexLock lock(it->second->mu);
-  DSSP_ASSIGN_OR_RETURN(const DrainResult drained, DrainLocked(*it->second));
+  DSSP_ASSIGN_OR_RETURN(
+      const DrainResult drained,
+      DrainLanes(MemberAt(node), /*skip=*/nullptr, /*only_settled=*/false));
   return drained.frames;
 }
 
 size_t InvalidationBus::Pending(int node) const {
-  const auto it = members_.find(node);
-  DSSP_CHECK(it != members_.end());
-  MutexLock lock(it->second->mu);
-  return it->second->queue.size();
+  return MemberAt(node).pending.load(std::memory_order_acquire);
 }
 
 uint64_t InvalidationBus::Dropped(int node) const {
-  const auto it = members_.find(node);
-  DSSP_CHECK(it != members_.end());
-  MutexLock lock(it->second->mu);
-  return it->second->dropped;
+  return MemberAt(node).dropped.load(std::memory_order_acquire);
 }
 
 BusStats InvalidationBus::stats() const {

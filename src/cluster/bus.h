@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -32,6 +33,11 @@ namespace dssp::cluster {
 // cache correctness (invalidation is idempotent on entries) but WOULD
 // advance the staleness epoch twice, silently tightening every k-staleness
 // bound derived from it.
+//
+// Tenant isolation: notices apply under a lock of their own app, so one
+// tenant's invalidation never waits on another's. The nonce map is locked
+// only while it is read or written; a concurrent duplicate of a nonce
+// carries the same app, waits on that app's lock, and is then suppressed.
 //
 // Kill() simulates a crash or partition of this member: every frame is
 // dropped undelivered until Revive(). The node object itself stays intact,
@@ -62,10 +68,14 @@ class NodeChannel : public service::Channel {
 
  private:
   // Decodes, validates, nonce-dedups, and applies one kInvalidateRequest
-  // frame. Returns the entries invalidated, or the (deterministic) refusal
-  // status.
-  StatusOr<uint64_t> ApplyNoticeLocked(std::string_view inner)
-      DSSP_REQUIRES(dedup_mu_);
+  // frame under its app's apply lock. Returns the entries invalidated, or
+  // the (deterministic) refusal status.
+  StatusOr<uint64_t> ApplyNotice(std::string_view inner);
+
+  // The lock notices of `app_id` apply under. Only apps registered on the
+  // node get their own; frames for unknown apps share one, so a peer cannot
+  // grow this state without bound.
+  Mutex& ApplyLockFor(const std::string& app_id);
 
   // Handles an unsealed kInvalidateBatchRequest; returns the unsealed
   // response frame (kInvalidateBatchResponse, or kError for a malformed
@@ -78,20 +88,27 @@ class NodeChannel : public service::Channel {
   std::atomic<uint64_t> duplicates_suppressed_{0};
   std::atomic<uint64_t> batches_received_{0};
 
+  Mutex apply_locks_mu_;
+  std::map<std::string, std::unique_ptr<Mutex>, std::less<>> apply_locks_
+      DSSP_GUARDED_BY(apply_locks_mu_);
+  Mutex unknown_app_apply_mu_;
+
   // Nonce -> entries invalidated, bounded FIFO (mirrors HomeServer's update
-  // dedup). The mutex also serializes apply, so a concurrent retry of the
-  // same nonce cannot double-apply. Batch envelopes get their own dedup map
-  // (nonce -> full encoded response) so a retried batch whose response was
-  // lost replays the stored acks verbatim; the per-notice map stays the
-  // authoritative guard — a notice that already arrived via a singleton
-  // frame is suppressed even when it reappears inside a batch.
+  // dedup).
   Mutex dedup_mu_;
   std::unordered_map<uint64_t, uint64_t> applied_nonces_
       DSSP_GUARDED_BY(dedup_mu_);
   std::deque<uint64_t> dedup_fifo_ DSSP_GUARDED_BY(dedup_mu_);
+
+  // Batch envelopes get their own dedup map (nonce -> full encoded
+  // response) so a retried batch whose response was lost replays the stored
+  // acks verbatim; the per-notice map stays the authoritative guard — a
+  // notice that already arrived via a singleton frame is suppressed even
+  // when it reappears inside a batch.
+  Mutex batch_mu_;
   std::unordered_map<uint64_t, std::string> applied_batches_
-      DSSP_GUARDED_BY(dedup_mu_);
-  std::deque<uint64_t> batch_fifo_ DSSP_GUARDED_BY(dedup_mu_);
+      DSSP_GUARDED_BY(batch_mu_);
+  std::deque<uint64_t> batch_fifo_ DSSP_GUARDED_BY(batch_mu_);
 };
 
 struct BusOptions {
@@ -142,13 +159,19 @@ struct BusStats {
 // Fans each exposure-gated UpdateNotice out to every member node over the
 // hardened wire path (sealed frames, bounded-backoff retries, nonce dedup —
 // all inherited from the PR-2 machinery, so a lossy inter-node wire gets
-// fault tolerance for free). Every member has a FIFO pending queue; a frame
-// leaves the queue only once its delivery is acknowledged, so an
-// unreachable member accumulates exactly the notices it missed and replays
-// them, in order, when the router drains it at rejoin.
+// fault tolerance for free). Every member has one FIFO lane per app; a frame
+// leaves its lane only once its delivery is acknowledged, so an unreachable
+// member accumulates exactly the notices it missed and replays them, in
+// order per app, when the router drains it at rejoin. Notices of different
+// apps need no order between them: they touch disjoint per-app caches and
+// update epochs.
 //
-// Thread-safe. Queue discipline is per member: a slow member never blocks
-// fan-out to the others.
+// Thread-safe. A publish locks only its own app's lane on each member, so
+// neither a slow member nor another tenant's invalidation blocks fan-out.
+// Pending() and Dropped() read the member's *settled* backlog: per-member
+// atomics every lane updates just before it releases its lock. A notice
+// whose Publish is still in flight is not counted: its update has not
+// returned, so a concurrent lookup may be ordered before it.
 class InvalidationBus {
  public:
   explicit InvalidationBus(BusOptions options = BusOptions{});
@@ -162,7 +185,8 @@ class InvalidationBus {
 
   // Observer invoked after every completed wire call to a member:
   // (node, ok). The router wires this into the MembershipTable, making bus
-  // deliveries the failure detector's primary signal source.
+  // deliveries the failure detector's primary signal source. It runs under
+  // a lane lock and must not call back into the bus.
   void SetWireObserver(std::function<void(int node, bool ok)> observer);
 
   // Marks a member deferred: Publish only queues for it, never attempts
@@ -170,17 +194,20 @@ class InvalidationBus {
   // node does not cost a retry storm on every update).
   void SetDeferred(int node, bool deferred);
 
-  // Encodes the notice once and enqueues it for every member, then drains
-  // each non-deferred member whose queue exceeds the lag bound.
+  // Encodes the notice once and enqueues it on its app's lane of every
+  // member. A non-deferred member whose backlog, counted across all of its
+  // lanes, then exceeds the lag bound is drained: this app's lane first,
+  // then the member's other lanes, one lane lock at a time.
   PublishOutcome Publish(const std::string& app_id,
                          const service::UpdateNotice& notice);
 
-  // Drains one member's queue in FIFO order — coalescing up to max_batch
-  // notices per wire frame — stopping at the first frame whose delivery
-  // fails (that frame and everything behind it stay queued). Returns the
-  // notices replayed, or the wire error.
+  // Drains every lane of one member, each in FIFO order — coalescing up to
+  // max_batch notices per wire frame — stopping at the first frame whose
+  // delivery fails (that frame and everything behind it stay queued).
+  // Returns the notices replayed, or the wire error.
   StatusOr<uint64_t> Flush(int node);
 
+  // The member's settled backlog: queued notices over all its lanes.
   size_t Pending(int node) const;
 
   // Notices this member refused (deterministically) and the bus therefore
@@ -192,14 +219,29 @@ class InvalidationBus {
   BusStats stats() const;
 
  private:
+  // One member's FIFO queue of one app's encoded notices.
+  struct Lane {
+    Mutex mu;
+    std::deque<std::string> queue DSSP_GUARDED_BY(mu);
+    // queue.size() as last folded into Member::pending (written under mu).
+    std::atomic<size_t> settled{0};
+    // Refusals not yet folded into Member::dropped.
+    uint64_t unsettled_dropped DSSP_GUARDED_BY(mu) = 0;
+  };
+
   struct Member {
     int node = 0;
+    size_t slot = 0;  // Index into AppLanes::lanes.
     service::Channel* channel = nullptr;
     std::unique_ptr<service::RetryingClient> client;
-    mutable Mutex mu;
-    std::deque<std::string> queue DSSP_GUARDED_BY(mu);
-    bool deferred DSSP_GUARDED_BY(mu) = false;
-    uint64_t dropped DSSP_GUARDED_BY(mu) = 0;
+    std::atomic<bool> deferred{false};
+    std::atomic<size_t> pending{0};    // Sum of the lanes' settled sizes.
+    std::atomic<uint64_t> dropped{0};  // Settled refusals.
+  };
+
+  // One app's lane on every member, indexed by Member::slot.
+  struct AppLanes {
+    std::vector<std::unique_ptr<Lane>> lanes;
   };
 
   struct DrainResult {
@@ -207,19 +249,41 @@ class InvalidationBus {
     uint64_t entries = 0;  // Cache entries those notices invalidated.
   };
 
-  // Drains member.queue.
-  StatusOr<DrainResult> DrainLocked(Member& member)
-      DSSP_REQUIRES(member.mu);
+  Member& MemberAt(int node) const;
+
+  // The lanes of `app_id`, created on its first publish.
+  AppLanes& LanesFor(const std::string& app_id);
+  // Every app's lanes, in app id order.
+  std::vector<AppLanes*> AllLanes() const;
+
+  // Folds the lane's queue size and refusals into the member's atomics.
+  static void Settle(Member& member, Lane& lane) DSSP_REQUIRES(lane.mu);
+
+  // Drains lane.queue.
+  StatusOr<DrainResult> DrainLocked(Member& member, Lane& lane)
+      DSSP_REQUIRES(lane.mu);
+
+  // Drains the member's lanes other than `skip`, one lane lock at a time;
+  // `only_settled` skips lanes with no settled backlog (their in-flight
+  // notices belong to the publishers holding them).
+  StatusOr<DrainResult> DrainLanes(Member& member, const Lane* skip,
+                                   bool only_settled);
 
   // One singleton / one batched wire exchange.
-  StatusOr<DrainResult> SendSingleLocked(Member& member)
-      DSSP_REQUIRES(member.mu);
-  StatusOr<DrainResult> SendBatchLocked(Member& member, size_t count)
-      DSSP_REQUIRES(member.mu);
+  StatusOr<DrainResult> SendSingleLocked(Member& member, Lane& lane)
+      DSSP_REQUIRES(lane.mu);
+  StatusOr<DrainResult> SendBatchLocked(Member& member, Lane& lane,
+                                        size_t count) DSSP_REQUIRES(lane.mu);
 
   BusOptions options_;
   std::map<int, std::unique_ptr<Member>> members_;
   std::function<void(int, bool)> observer_;
+
+  // App id -> lanes; insert-only, so handed-out pointers stay valid.
+  mutable Mutex lanes_mu_;
+  std::map<std::string, std::unique_ptr<AppLanes>, std::less<>> apps_
+      DSSP_GUARDED_BY(lanes_mu_);
+
   std::atomic<uint64_t> next_nonce_{1};
   std::atomic<uint64_t> published_{0};
   std::atomic<uint64_t> delivered_notices_{0};

@@ -23,15 +23,19 @@ MembershipTable::MembershipTable(MembershipPolicy policy) : policy_(policy) {
 
 void MembershipTable::AddNode(int node) {
   DSSP_CHECK(node >= 0);
-  MutexLock lock(mu_);
-  members_.try_emplace(node);
+  const size_t index = static_cast<size_t>(node);
+  if (index >= members_.size()) members_.resize(index + 1);
+  if (members_[index] == nullptr) members_[index] = std::make_unique<Member>();
+}
+
+MembershipTable::Member& MembershipTable::At(int node) const {
+  DSSP_CHECK(node >= 0 && static_cast<size_t>(node) < members_.size() &&
+             members_[static_cast<size_t>(node)] != nullptr);
+  return *members_[static_cast<size_t>(node)];
 }
 
 NodeHealth MembershipTable::health(int node) const {
-  MutexLock lock(mu_);
-  const auto it = members_.find(node);
-  DSSP_CHECK(it != members_.end());
-  return it->second.health;
+  return At(node).health.load(std::memory_order_acquire);
 }
 
 bool MembershipTable::Servable(int node) const {
@@ -39,20 +43,21 @@ bool MembershipTable::Servable(int node) const {
 }
 
 bool MembershipTable::ReportFailure(int node) {
+  Member& member = At(node);
   MutexLock lock(mu_);
-  const auto it = members_.find(node);
-  DSSP_CHECK(it != members_.end());
-  Member& member = it->second;
-  if (member.health == NodeHealth::kDown) return false;
-  ++member.consecutive_failures;
-  NodeHealth next = member.health;
-  if (member.consecutive_failures >= policy_.down_after) {
+  const NodeHealth health = member.health.load(std::memory_order_relaxed);
+  if (health == NodeHealth::kDown) return false;
+  const int failures =
+      member.consecutive_failures.load(std::memory_order_relaxed) + 1;
+  member.consecutive_failures.store(failures, std::memory_order_relaxed);
+  NodeHealth next = health;
+  if (failures >= policy_.down_after) {
     next = NodeHealth::kDown;
-  } else if (member.consecutive_failures >= policy_.suspect_after) {
+  } else if (failures >= policy_.suspect_after) {
     next = NodeHealth::kSuspect;
   }
-  if (next == member.health) return false;
-  member.health = next;
+  if (next == health) return false;
+  member.health.store(next, std::memory_order_release);
   if (next == NodeHealth::kSuspect) ++member.counters.suspect_transitions;
   if (next == NodeHealth::kDown) ++member.counters.down_transitions;
   epoch_.fetch_add(1, std::memory_order_release);
@@ -60,45 +65,54 @@ bool MembershipTable::ReportFailure(int node) {
 }
 
 bool MembershipTable::ReportSuccess(int node) {
+  Member& member = At(node);
+  // Every bus delivery reports a success; on a healthy member it changes
+  // nothing, so it need not lock. (A failure racing with this read is
+  // simply ordered after it.)
+  if (member.health.load(std::memory_order_acquire) == NodeHealth::kAlive &&
+      member.consecutive_failures.load(std::memory_order_acquire) == 0) {
+    return false;
+  }
   MutexLock lock(mu_);
-  const auto it = members_.find(node);
-  DSSP_CHECK(it != members_.end());
-  Member& member = it->second;
-  member.consecutive_failures = 0;
-  if (member.health != NodeHealth::kSuspect) return false;
-  member.health = NodeHealth::kAlive;
+  member.consecutive_failures.store(0, std::memory_order_relaxed);
+  if (member.health.load(std::memory_order_relaxed) != NodeHealth::kSuspect) {
+    return false;
+  }
+  member.health.store(NodeHealth::kAlive, std::memory_order_release);
   epoch_.fetch_add(1, std::memory_order_release);
   return true;
 }
 
 bool MembershipTable::Rejoin(int node) {
+  Member& member = At(node);
   MutexLock lock(mu_);
-  const auto it = members_.find(node);
-  DSSP_CHECK(it != members_.end());
-  Member& member = it->second;
-  if (member.health != NodeHealth::kDown) return false;
-  member.health = NodeHealth::kAlive;
-  member.consecutive_failures = 0;
+  if (member.health.load(std::memory_order_relaxed) != NodeHealth::kDown) {
+    return false;
+  }
+  member.consecutive_failures.store(0, std::memory_order_relaxed);
+  member.health.store(NodeHealth::kAlive, std::memory_order_release);
   ++member.counters.rejoins;
   epoch_.fetch_add(1, std::memory_order_release);
   return true;
 }
 
 std::vector<int> MembershipTable::ServableNodes() const {
-  MutexLock lock(mu_);
   std::vector<int> nodes;
   nodes.reserve(members_.size());
-  for (const auto& [id, member] : members_) {
-    if (member.health != NodeHealth::kDown) nodes.push_back(id);
+  for (size_t i = 0; i < members_.size(); ++i) {
+    if (members_[i] != nullptr &&
+        members_[i]->health.load(std::memory_order_acquire) !=
+            NodeHealth::kDown) {
+      nodes.push_back(static_cast<int>(i));
+    }
   }
   return nodes;
 }
 
 MemberCounters MembershipTable::counters(int node) const {
+  const Member& member = At(node);
   MutexLock lock(mu_);
-  const auto it = members_.find(node);
-  DSSP_CHECK(it != members_.end());
-  return it->second.counters;
+  return member.counters;
 }
 
 }  // namespace dssp::cluster

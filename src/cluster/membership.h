@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "common/mutex.h"
@@ -41,9 +41,12 @@ struct MemberCounters {
   uint64_t rejoins = 0;
 };
 
-// Health registry for a fixed member set. Thread-safe; every health
-// transition bumps a global epoch so the router knows to rebuild its ring
-// snapshot without polling each member.
+// Health registry for a fixed member set: add every member before the
+// table is shared between threads. Thread-safe afterwards; health reads
+// (health, Servable, ServableNodes) are lock-free atomic loads, so the
+// router's per-lookup checks never wait on a transition. Transitions
+// serialize on one mutex and bump a global epoch so the router can tell
+// that placement changed without polling each member.
 class MembershipTable {
  public:
   explicit MembershipTable(MembershipPolicy policy = MembershipPolicy{});
@@ -72,14 +75,18 @@ class MembershipTable {
 
  private:
   struct Member {
-    NodeHealth health = NodeHealth::kAlive;
-    int consecutive_failures = 0;
-    MemberCounters counters;
+    // Written under mu_; read lock-free.
+    std::atomic<NodeHealth> health{NodeHealth::kAlive};
+    std::atomic<int> consecutive_failures{0};
+    MemberCounters counters;  // Guarded by mu_.
   };
+
+  Member& At(int node) const;
 
   MembershipPolicy policy_;
   mutable Mutex mu_;
-  std::map<int, Member> members_ DSSP_GUARDED_BY(mu_);
+  // Indexed by node id (null: no such member). Grows only in AddNode.
+  std::vector<std::unique_ptr<Member>> members_;
   std::atomic<uint64_t> epoch_{0};
 };
 

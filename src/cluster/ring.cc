@@ -1,5 +1,6 @@
 #include "cluster/ring.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -34,52 +35,33 @@ HashRing::HashRing(uint64_t seed, int vnodes_per_node)
 void HashRing::AddNode(int node) {
   DSSP_CHECK(node >= 0);
   if (!nodes_.insert(node).second) return;
+  points_.reserve(points_.size() + static_cast<size_t>(vnodes_));
   for (int v = 0; v < vnodes_; ++v) {
-    // On the astronomically unlikely 64-bit collision the smaller node id
-    // wins deterministically, keeping placement a pure function of the
-    // member set.
-    const uint64_t point = VnodePoint(seed_, node, v);
-    const auto it = points_.find(point);
-    if (it == points_.end() || node < it->second) points_[point] = node;
+    points_.push_back(Point{VnodePoint(seed_, node, v), node});
   }
+  std::sort(points_.begin(), points_.end(),
+            [](const Point& a, const Point& b) {
+              return a.position != b.position ? a.position < b.position
+                                              : a.node < b.node;
+            });
 }
 
 void HashRing::RemoveNode(int node) {
   if (nodes_.erase(node) == 0) return;
-  for (auto it = points_.begin(); it != points_.end();) {
-    it = it->second == node ? points_.erase(it) : std::next(it);
-  }
-  // Restore any points this node had won from a colliding member.
-  for (int other : nodes_) {
-    for (int v = 0; v < vnodes_; ++v) {
-      const uint64_t point = VnodePoint(seed_, other, v);
-      const auto it = points_.find(point);
-      if (it == points_.end() || other < it->second) points_[point] = other;
-    }
-  }
+  std::erase_if(points_, [node](const Point& p) { return p.node == node; });
 }
 
 uint64_t HashRing::KeyPoint(std::string_view key) const {
   return SipHash24(seed_, kKeyK1, key);
 }
 
-std::vector<int> HashRing::Owners(std::string_view key,
-                                  size_t replicas) const {
-  std::vector<int> owners;
-  if (points_.empty() || replicas == 0) return owners;
-  const size_t want = std::min(replicas, nodes_.size());
-  owners.reserve(want);
-  // Walk clockwise from the key's position, collecting distinct nodes.
-  auto it = points_.lower_bound(KeyPoint(key));
-  for (size_t step = 0; step < points_.size() && owners.size() < want;
-       ++step) {
-    if (it == points_.end()) it = points_.begin();
-    bool seen = false;
-    for (int node : owners) seen = seen || node == it->second;
-    if (!seen) owners.push_back(it->second);
-    ++it;
-  }
-  return owners;
+size_t HashRing::FirstPointAtOrAfter(uint64_t position) const {
+  return static_cast<size_t>(
+      std::partition_point(points_.begin(), points_.end(),
+                           [position](const Point& p) {
+                             return p.position < position;
+                           }) -
+      points_.begin());
 }
 
 int HashRing::OwnerOf(std::string_view key) const {

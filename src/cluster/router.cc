@@ -1,5 +1,7 @@
 #include "cluster/router.h"
 
+#include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/macros.h"
@@ -16,11 +18,11 @@ namespace {
 thread_local RouteInfo tls_last_route;
 
 // Ring placement key: apps are isolated tenants, so the same cache key in
-// two apps must be free to land on different members.
-std::string RouteKey(const std::string& app_id, const std::string& key) {
-  std::string route;
-  route.reserve(app_id.size() + 1 + key.size());
-  route.append(app_id);
+// two apps must be free to land on different members. Rendered into a
+// per-thread buffer; the view lives until this thread's next call.
+std::string_view RouteKey(const std::string& app_id, const std::string& key) {
+  thread_local std::string route;
+  route.assign(app_id);
   route.push_back('\0');
   route.append(key);
   return route;
@@ -55,10 +57,10 @@ ClusterRouter::ClusterRouter(ClusterOptions options)
     ring_.AddNode(i);
     members_.push_back(std::move(member));
   }
-  ring_epoch_ = membership_.epoch();
+  ring_epoch_.store(membership_.epoch(), std::memory_order_relaxed);
   // Bus deliveries double as failure-detector probes. The observer only
-  // touches the membership table (never the bus) — it runs under the bus's
-  // per-member queue lock, so calling back into the bus would deadlock.
+  // touches the membership table (never the bus) — it runs under a bus lane
+  // lock, so calling back into the bus would deadlock.
   bus_.SetWireObserver(
       [this](int node, bool ok) { ObserveWire(node, ok); });
 }
@@ -76,55 +78,45 @@ void ClusterRouter::ObserveWire(int node, bool ok) {
   }
 }
 
-void ClusterRouter::MaybeRebuildRing() {
+void ClusterRouter::NoteRebalance() {
   const uint64_t epoch = membership_.epoch();
-  MutexLock lock(ring_mu_);
-  if (epoch == ring_epoch_) return;
-  const std::vector<int> servable = membership_.ServableNodes();
-  // Reconcile instead of rebuilding from scratch: AddNode/RemoveNode are
-  // idempotent and only the changed members' vnodes move.
-  std::vector<bool> keep(members_.size(), false);
-  for (int node : servable) keep[static_cast<size_t>(node)] = true;
-  for (size_t i = 0; i < members_.size(); ++i) {
-    if (keep[i]) {
-      ring_.AddNode(static_cast<int>(i));
-    } else {
-      ring_.RemoveNode(static_cast<int>(i));
-    }
+  uint64_t seen = ring_epoch_.load(std::memory_order_relaxed);
+  if (seen != epoch && ring_epoch_.compare_exchange_strong(
+                           seen, epoch, std::memory_order_relaxed)) {
+    rebalances_.fetch_add(1, std::memory_order_relaxed);
   }
-  ring_epoch_ = epoch;
-  rebalances_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<int> ClusterRouter::ServableOwners(const std::string& key) {
-  MaybeRebuildRing();
-  std::vector<int> owners;
-  {
-    MutexLock lock(ring_mu_);
-    owners = ring_.Owners(key, options_.replication);
+std::vector<int> ClusterRouter::ServableOwners(std::string_view key) {
+  NoteRebalance();
+  // Placement over the members not declared down: the ring a rebuild over
+  // exactly those members would give. Asking for no more owners than there
+  // are servable members keeps a degraded walk from circling the ring.
+  size_t servable = 0;
+  for (size_t i = 0; i < members_.size(); ++i) {
+    if (membership_.Servable(static_cast<int>(i))) ++servable;
   }
-  std::vector<int> servable;
-  servable.reserve(owners.size());
-  for (int node : owners) {
-    Member& member = *members_[CheckIndex(node)];
-    if (!member.endpoint->alive()) {
+  std::vector<int> owners =
+      ring_.OwnersWhere(key, std::min(options_.replication, servable),
+                        [this](int node) { return membership_.Servable(node); });
+  std::erase_if(owners, [this](int node) {
+    if (!members_[CheckIndex(node)]->endpoint->alive()) {
       // A dead wire observed on the lookup path feeds the same failure
       // detector as a failed bus delivery.
       if (membership_.ReportFailure(node) && !membership_.Servable(node)) {
         bus_.SetDeferred(node, true);
       }
-      continue;
+      return true;
     }
-    if (!membership_.Servable(node)) continue;
     if (bus_.Pending(node) > options_.bus.bus_lag) {
       // Reachable but lagging beyond the staleness bound: serving from it
       // could return a result the bus has already invalidated elsewhere.
       lagging_skips_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+      return true;
     }
-    servable.push_back(node);
-  }
-  return servable;
+    return false;
+  });
+  return owners;
 }
 
 Status ClusterRouter::RegisterApp(std::string app_id,
@@ -300,7 +292,7 @@ StatusOr<uint64_t> ClusterRouter::ReviveNode(int node) {
   membership_.Rejoin(node);
   membership_.ReportSuccess(node);
   member.lookups_since_rejoin.store(0, std::memory_order_relaxed);
-  MaybeRebuildRing();
+  NoteRebalance();
   return *drained;
 }
 

@@ -6,12 +6,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/bus.h"
 #include "cluster/membership.h"
 #include "cluster/ring.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "dssp/channel.h"
 #include "dssp/node.h"
@@ -60,7 +60,7 @@ struct ClusterRouteStats {
   uint64_t lookups = 0;
   uint64_t replica_fallbacks = 0;  // Hits served by a fallback replica.
   uint64_t lagging_skips = 0;      // Members skipped over the bus-lag bound.
-  uint64_t rebalances = 0;         // Ring rebuilds after health transitions.
+  uint64_t rebalances = 0;         // Placement changes after health transitions.
 };
 
 // What the last cache operation on this thread did; the cluster simulator
@@ -84,9 +84,12 @@ struct RouteInfo {
 // one member, and every operation lands on that node exactly as it would
 // on a bare DsspNode.
 //
-// Thread-safe: the member set is fixed at construction; the ring snapshot
-// is copy-on-rebuild behind a mutex; everything else is the members' own
-// synchronization plus relaxed counters.
+// Thread-safe: the member set is fixed at construction, and so is the ring,
+// which holds every member's virtual nodes and is read immutably; placement
+// skips members the membership table has declared down. A lookup or store
+// takes no lock of the router's own: membership health and bus backlogs are
+// atomic loads, and everything else is the members' own synchronization
+// plus relaxed counters.
 class ClusterRouter : public service::CacheBackend {
  public:
   explicit ClusterRouter(ClusterOptions options = ClusterOptions{});
@@ -165,10 +168,10 @@ class ClusterRouter : public service::CacheBackend {
   // Servable owner list for `key`: ring owners filtered through membership
   // and the per-member wire/lag checks, preference order preserved.
   // Reports wire failures for dead owners as it goes.
-  std::vector<int> ServableOwners(const std::string& key);
+  std::vector<int> ServableOwners(std::string_view key);
 
-  // Rebuilds the ring snapshot if membership changed since the last build.
-  void MaybeRebuildRing();
+  // Counts a rebalance when membership changed since the last placement.
+  void NoteRebalance();
 
   void ObserveWire(int node, bool ok);
 
@@ -177,9 +180,10 @@ class ClusterRouter : public service::CacheBackend {
   MembershipTable membership_;
   InvalidationBus bus_;
 
-  mutable Mutex ring_mu_;
-  HashRing ring_ DSSP_GUARDED_BY(ring_mu_);
-  uint64_t ring_epoch_ DSSP_GUARDED_BY(ring_mu_) = 0;
+  // Every member, immutable after construction.
+  HashRing ring_;
+  // Membership epoch placement last followed.
+  std::atomic<uint64_t> ring_epoch_{0};
 
   std::atomic<uint64_t> lookups_{0};
   std::atomic<uint64_t> replica_fallbacks_{0};

@@ -132,7 +132,7 @@ std::string ScalableApp::LookupKey(const templates::QueryTemplate& tmpl,
     case analysis::ExposureLevel::kTemplate: {
       // Template id + deterministically encrypted parameters.
       key = "t:" + tmpl.id();
-      const crypto::DeterministicCipher cipher = home_.parameter_cipher();
+      const crypto::DeterministicCipher& cipher = home_.parameter_cipher();
       for (const sql::Value& param : params) {
         key += "|";
         const size_t begin = key.size();

@@ -8,17 +8,25 @@ namespace dssp::service {
 
 namespace {
 
-// All keys of a group, in the same sorted order the pre-index std::set
-// iteration produced (determinism: stale-retention FIFO order depends on
-// visit order).
-std::vector<std::string> AllGroupKeys(const ValueKeyMap& by_value,
-                                      const std::set<std::string>& rest) {
-  std::vector<std::string> keys(rest.begin(), rest.end());
+// Sorts key pointers by the keys they point to: the order the pre-index
+// std::set iteration produced (determinism: stale-retention FIFO order
+// depends on visit order).
+void SortByKey(std::vector<const std::string*>* keys) {
+  std::sort(keys->begin(), keys->end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+}
+
+// Points `out` at every key of a group, in sorted order. The pointers alias
+// the group's sets: one stays valid until its own key is erased.
+void CollectGroupKeys(const ValueKeyMap& by_value,
+                      const std::set<std::string>& rest,
+                      std::vector<const std::string*>* out) {
+  out->clear();
+  for (const std::string& key : rest) out->push_back(&key);
   for (const auto& [value, members] : by_value) {
-    keys.insert(keys.end(), members.begin(), members.end());
+    for (const std::string& key : members) out->push_back(&key);
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  if (!by_value.empty()) SortByKey(out);
 }
 
 }  // namespace
@@ -230,11 +238,12 @@ size_t QueryCache::EraseGroup(size_t group) {
     MutexLock lock(shard.mu);
     const auto it = shard.groups.find(group);
     if (it == shard.groups.end()) continue;
-    const std::vector<std::string> keys =
-        AllGroupKeys(it->second.by_value, it->second.rest);
+    // The group's sets outlive the loop (the group is erased after it).
+    static thread_local std::vector<const std::string*> keys;
+    CollectGroupKeys(it->second.by_value, it->second.rest, &keys);
     count += keys.size();
-    for (const std::string& key : keys) {
-      const auto entry_it = shard.entries.find(key);
+    for (const std::string* key : keys) {
+      const auto entry_it = shard.entries.find(*key);
       DSSP_CHECK(entry_it != shard.entries.end());
       shard.lru.erase(entry_it->second.lru_position);
       RetainStale(std::move(entry_it->second.entry));
@@ -256,7 +265,7 @@ size_t QueryCache::InvalidateEntries(
 size_t QueryCache::InvalidateEntries(
     const std::function<bool(size_t group)>& group_may_invalidate,
     const std::function<bool(const CacheEntry&)>& should_invalidate,
-    const std::function<GroupProbe(size_t group)>& group_probe) {
+    const std::function<const GroupProbe&(size_t group)>& group_probe) {
   size_t invalidated = 0;
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
@@ -271,32 +280,35 @@ size_t QueryCache::InvalidateEntries(
       const auto group_it = shard.groups.find(group);
       DSSP_CHECK(group_it != shard.groups.end());
       const Group& members = group_it->second;
-      std::vector<std::string> keys;
-      GroupProbe::Mode mode = GroupProbe::Mode::kScanAll;
+      // Keys are visited through pointers into the group's sets, in sorted
+      // order. Removing a visited entry frees only its own key: the group
+      // itself empties only once its last key — necessarily the last one
+      // visited — is gone.
+      static thread_local std::vector<const std::string*> keys;
+      const GroupProbe* probe = nullptr;
       if (group_probe != nullptr && !members.by_value.empty()) {
-        const GroupProbe probe = group_probe(group);
-        mode = probe.mode;
-        if (mode == GroupProbe::Mode::kProbe) {
-          // Rest entries plus the probes' candidates; the set keeps the
-          // visit order sorted, like the full scan's.
-          std::set<std::string> candidates(members.rest.begin(),
-                                           members.rest.end());
-          probe.CollectCandidates(members.by_value, &candidates);
-          keys.assign(candidates.begin(), candidates.end());
-        }
+        probe = &group_probe(group);
       }
-      switch (mode) {
+      switch (probe == nullptr ? GroupProbe::Mode::kScanAll : probe->mode) {
         case GroupProbe::Mode::kScanAll:
-          keys = AllGroupKeys(members.by_value, members.rest);
+          CollectGroupKeys(members.by_value, members.rest, &keys);
           break;
         case GroupProbe::Mode::kScanRest:
-          keys.assign(members.rest.begin(), members.rest.end());
+          keys.clear();
+          for (const std::string& key : members.rest) keys.push_back(&key);
           break;
         case GroupProbe::Mode::kProbe:
-          break;  // Collected above.
+          // Rest entries plus the probes' candidates, deduplicated (a key
+          // lives in exactly one set, so equal keys are equal pointers).
+          keys.clear();
+          for (const std::string& key : members.rest) keys.push_back(&key);
+          probe->CollectCandidates(members.by_value, &keys);
+          SortByKey(&keys);
+          keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+          break;
       }
-      for (const std::string& key : keys) {
-        const auto it = shard.entries.find(key);
+      for (const std::string* key : keys) {
+        const auto it = shard.entries.find(*key);
         DSSP_CHECK(it != shard.entries.end());
         if (should_invalidate(it->second.entry)) {
           RemoveLocked(shard, it, /*retain_stale=*/true);

@@ -148,7 +148,7 @@ class QueryCache {
   size_t InvalidateEntries(
       const std::function<bool(size_t group)>& group_may_invalidate,
       const std::function<bool(const CacheEntry&)>& should_invalidate,
-      const std::function<GroupProbe(size_t group)>& group_probe);
+      const std::function<const GroupProbe&(size_t group)>& group_probe);
 
   // Installs the compiled predicate index used to key entries at Insert
   // (`plan` must outlive the cache or be reset to nullptr first). Entries

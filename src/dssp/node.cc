@@ -195,6 +195,10 @@ size_t DsspNode::OnUpdate(const std::string& app_id,
       notice.statement.has_value()) {
     update_view.statement = &*notice.statement;
   }
+  // Per-update scratch, reused across updates like the memos below.
+  static thread_local invalidation::ViewInspectionMemo vis_memo;
+  vis_memo.Reset();
+  update_view.memo = &vis_memo;
 
   // Group-level prefilter, decided once per group across all shards: with
   // only the query template exposed (the IPM's A cell). Our statement- and
@@ -261,9 +265,10 @@ size_t DsspNode::OnUpdate(const std::string& app_id,
     group_probes.resize(num_groups);
     probe_ready.assign(num_groups, 0);
   }
-  const auto group_probe = [&](size_t group) -> GroupProbe {
+  const auto group_probe = [&](size_t group) -> const GroupProbe& {
+    static const GroupProbe kScanAll;
     if (group >= app->templates->num_queries()) {
-      return GroupProbe{};  // Blind group (kNoTemplate): always scan all.
+      return kScanAll;  // Blind group (kNoTemplate): always scan all.
     }
     if (!probe_ready[group]) {
       group_probes[group] = view_index->BuildGroupProbe(

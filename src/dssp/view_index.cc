@@ -322,8 +322,8 @@ GroupProbe ViewIndexPlan::BuildGroupProbe(size_t update_index,
   return out;
 }
 
-void GroupProbe::CollectCandidates(const ValueKeyMap& by_value,
-                                   std::set<std::string>* out) const {
+void GroupProbe::CollectCandidates(
+    const ValueKeyMap& by_value, std::vector<const std::string*>* out) const {
   for (const auto& [pop, pv] : probes) {
     if (pv.is_null()) continue;
     // Candidates can only lie in pv's type class: a cross-class constraint
@@ -389,7 +389,7 @@ void GroupProbe::CollectCandidates(const ValueKeyMap& by_value,
         break;
     }
     for (ValueKeyMap::const_iterator it = lo; it != hi; ++it) {
-      out->insert(it->second.begin(), it->second.end());
+      for (const std::string& key : it->second) out->push_back(&key);
     }
   }
 }

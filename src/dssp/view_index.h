@@ -135,10 +135,12 @@ struct GroupProbe {
   sql::CompareOp spec_op = sql::CompareOp::kEq;  // Discriminator operator.
   std::vector<std::pair<sql::CompareOp, sql::Value>> probes;
 
-  // Collects the candidate entry keys the probes select from a group's
-  // value index into `out`. Only meaningful for kProbe.
+  // Appends pointers to the candidate entry keys the probes select from a
+  // group's value index to `out`, unordered and possibly repeated (probes
+  // may overlap). Only meaningful for kProbe. The pointers alias the keys
+  // in `by_value` and die with them.
   void CollectCandidates(const ValueKeyMap& by_value,
-                         std::set<std::string>* out) const;
+                         std::vector<const std::string*>* out) const;
 };
 
 // The compiled predicate-index plan of one application: one

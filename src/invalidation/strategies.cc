@@ -1,7 +1,5 @@
 #include "invalidation/strategies.h"
 
-#include <map>
-
 #include "analysis/ipm.h"
 #include "analysis/query_slots.h"
 #include "engine/eval.h"
@@ -96,60 +94,51 @@ Decision StatementInspectionStrategy::Decide(
   return Decision::kInvalidate;
 }
 
-namespace {
-
-// Tests whether any cached result row, viewed as the slot-`slot` contributing
-// base row, satisfies the update's predicate. Requires every predicate
-// attribute to be preserved from that slot; returns nullopt when it is not
-// (the caller must then fall back to the statement-level decision).
-std::optional<bool> AnyResultRowMatches(
+void ViewInspectionStrategy::BuildGroup(
     const templates::QueryTemplate& query_template,
-    const engine::QueryResult& result, size_t slot,
+    const sql::SelectStatement& select, const std::string& table,
     const catalog::TableSchema& schema,
-    const std::vector<sql::Comparison>& predicate) {
+    const std::vector<sql::Comparison>& predicate,
+    ViewInspectionMemo::Group* group) {
   const std::vector<templates::QueryTemplate::OutputColumn>& outputs =
       query_template.output_columns();
-  if (outputs.size() != result.num_columns()) return std::nullopt;
-
-  // Map each predicate-referenced column to a result column index.
-  std::map<std::string, size_t> column_to_output;
-  for (const sql::Comparison& cmp : predicate) {
-    for (const sql::Operand* op : {&cmp.lhs, &cmp.rhs}) {
-      if (!sql::IsColumn(*op)) continue;
-      const std::string& col = std::get<sql::ColumnRef>(*op).column;
-      if (column_to_output.contains(col)) continue;
-      bool found = false;
-      for (size_t k = 0; k < outputs.size(); ++k) {
-        if (outputs[k].slot == slot && outputs[k].attribute.has_value() &&
-            outputs[k].attribute->column == col) {
-          column_to_output[col] = k;
-          found = true;
-          break;
+  group->slots.clear();
+  const analysis::QuerySlots slots(select);
+  for (size_t s = 0; s < slots.physical.size(); ++s) {
+    if (slots.physical[s] != table) continue;
+    // Map each predicate-referenced column to the result column that
+    // preserves it from slot s.
+    ViewInspectionMemo::Slot& slot = group->slots.emplace_back();
+    for (const sql::Comparison& cmp : predicate) {
+      for (const sql::Operand* op : {&cmp.lhs, &cmp.rhs}) {
+        if (!sql::IsColumn(*op)) continue;
+        const std::string& col = std::get<sql::ColumnRef>(*op).column;
+        const std::optional<size_t> index = schema.ColumnIndex(col);
+        if (!index.has_value()) {
+          slot.preserved = false;  // Not a column of the updated table.
+          continue;
         }
+        const size_t column = *index;
+        bool mapped = false;
+        for (const auto& [schema_column, k] : slot.columns) {
+          mapped = mapped || schema_column == column;
+        }
+        if (mapped) continue;
+        bool found = false;
+        for (size_t k = 0; k < outputs.size(); ++k) {
+          if (outputs[k].slot == s && outputs[k].attribute.has_value() &&
+              outputs[k].attribute->column == col) {
+            slot.columns.emplace_back(column, k);
+            found = true;
+            break;
+          }
+        }
+        slot.preserved = slot.preserved && found;
       }
-      if (!found) return std::nullopt;  // Attribute not preserved from slot.
     }
   }
-
-  // Bind the predicate once; Matches() surfaces errors per row at exactly
-  // the points EvalPredicateOnRow would (errors conservatively count as a
-  // match below).
-  const engine::BoundPredicate bound =
-      engine::BoundPredicate::Bind(schema, predicate);
-  for (const engine::Row& result_row : result.rows()) {
-    // Reconstruct the contributing base row (only predicate-referenced
-    // columns matter; the predicate never reads the others).
-    engine::Row base(schema.num_columns());
-    for (const auto& [col, k] : column_to_output) {
-      base[*schema.ColumnIndex(col)] = result_row[k];
-    }
-    const StatusOr<bool> matches = bound.Matches(base);
-    if (!matches.ok() || *matches) return true;
-  }
-  return false;
+  group->ready = true;
 }
-
-}  // namespace
 
 Decision ViewInspectionStrategy::Decide(const UpdateView& update,
                                         const CachedQueryView& query) const {
@@ -188,16 +177,54 @@ Decision ViewInspectionStrategy::Decide(const UpdateView& update,
       break;
   }
 
+  // Without a caller's memo, derive everything for this call alone.
+  ViewInspectionMemo local;
+  ViewInspectionMemo& memo = update.memo != nullptr ? *update.memo : local;
+  ViewInspectionMemo::Group* group = nullptr;
+  if (query.template_index != kNoTemplateIndex && &memo != &local) {
+    if (memo.groups_.size() <= query.template_index) {
+      memo.groups_.resize(query.template_index + 1);
+    }
+    group = &memo.groups_[query.template_index];
+  } else {
+    local.groups_.resize(1);
+    group = &local.groups_[0];
+  }
+  if (!group->ready) {
+    BuildGroup(*query.tmpl, query.statement->select(), u.table(), *schema,
+               *predicate, group);
+  }
+
   // The update touches only rows matching `predicate`. If, for every FROM
   // slot over the updated table, no cached result row derives from such a
-  // row, the cached result cannot change.
-  const analysis::QuerySlots slots(query.statement->select());
-  for (size_t s = 0; s < slots.physical.size(); ++s) {
-    if (slots.physical[s] != u.table()) continue;
-    const std::optional<bool> any_match = AnyResultRowMatches(
-        *query.tmpl, *query.result, s, *schema, *predicate);
-    if (!any_match.has_value() || *any_match) {
-      return Decision::kInvalidate;
+  // row, the cached result cannot change. A slot that does not preserve
+  // every predicate attribute cannot be tested: fall back to the
+  // statement-level decision.
+  if (group->slots.empty()) return Decision::kDoNotInvalidate;
+  const engine::QueryResult& result = *query.result;
+  if (query.tmpl->output_columns().size() != result.num_columns()) {
+    return Decision::kInvalidate;
+  }
+  for (const ViewInspectionMemo::Slot& slot : group->slots) {
+    if (!slot.preserved) return Decision::kInvalidate;
+  }
+  if (!memo.bound_.has_value()) {
+    // Bound once per update; Matches() surfaces errors per row at exactly
+    // the points EvalPredicateOnRow would (errors conservatively count as a
+    // match below).
+    memo.bound_ = engine::BoundPredicate::Bind(*schema, *predicate);
+    memo.row_.assign(schema->num_columns(), sql::Value());
+  }
+  for (const ViewInspectionMemo::Slot& slot : group->slots) {
+    for (const engine::Row& result_row : result.rows()) {
+      // Rebuild the contributing base row. Only predicate-referenced
+      // columns matter, and every slot writes exactly those, so the
+      // buffer's other columns are never read.
+      for (const auto& [column, k] : slot.columns) {
+        memo.row_[column] = result_row[k];
+      }
+      const StatusOr<bool> matches = memo.bound_->Matches(memo.row_);
+      if (!matches.ok() || *matches) return Decision::kInvalidate;
     }
   }
   return Decision::kDoNotInvalidate;

@@ -1,8 +1,14 @@
 #ifndef DSSP_INVALIDATION_STRATEGIES_H_
 #define DSSP_INVALIDATION_STRATEGIES_H_
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analysis/plan.h"
 #include "catalog/schema.h"
+#include "engine/eval.h"
 #include "invalidation/strategy.h"
 
 namespace dssp::invalidation {
@@ -72,6 +78,38 @@ class StatementInspectionStrategy : public InvalidationStrategy {
   const analysis::InvalidationPlan* plan_;
 };
 
+// Scratch for ViewInspectionStrategy across the entries one update visits:
+// the update's bound predicate, and per query template the result columns
+// that rebuild each updated-table slot's base row, plus one reused row
+// buffer. Serves one update of one application on one thread; Reset()
+// before the next update.
+class ViewInspectionMemo {
+ public:
+  void Reset() {
+    bound_.reset();
+    for (Group& group : groups_) group.ready = false;
+  }
+
+ private:
+  friend class ViewInspectionStrategy;
+
+  // One FROM slot over the updated table.
+  struct Slot {
+    // False when some predicate column is not an output of the slot.
+    bool preserved = true;
+    // (schema column, result column) per predicate-referenced column.
+    std::vector<std::pair<size_t, size_t>> columns;
+  };
+  struct Group {
+    bool ready = false;
+    std::vector<Slot> slots;
+  };
+
+  std::optional<engine::BoundPredicate> bound_;
+  std::vector<Group> groups_;  // By query template index.
+  engine::Row row_;
+};
+
 // View-inspection strategy (VIS): additionally inspects the cached result.
 // For deletions and modifications it checks whether any result row derives
 // from a row the update touches; for insertions it coincides with MSIS (a
@@ -91,6 +129,15 @@ class ViewInspectionStrategy : public InvalidationStrategy {
   std::string_view name() const override { return "MVIS"; }
 
  private:
+  // Fills `group` for a query template reading `select`, against an update
+  // of `table` whose WHERE is `predicate`.
+  static void BuildGroup(const templates::QueryTemplate& query_template,
+                         const sql::SelectStatement& select,
+                         const std::string& table,
+                         const catalog::TableSchema& schema,
+                         const std::vector<sql::Comparison>& predicate,
+                         ViewInspectionMemo::Group* group);
+
   const catalog::Catalog& catalog_;
   StatementInspectionStrategy sis_;
 };

@@ -23,6 +23,8 @@ enum class Decision {
 // the legacy re-derivation path.
 inline constexpr size_t kNoTemplateIndex = static_cast<size_t>(-1);
 
+class ViewInspectionMemo;  // strategies.h
+
 // What the DSSP can see about a completed update, as limited by the update
 // template's exposure level:
 //   blind    -> nothing (tmpl/statement unset)
@@ -33,6 +35,10 @@ struct UpdateView {
   const templates::UpdateTemplate* tmpl = nullptr;
   const sql::Statement* statement = nullptr;  // Fully bound.
   size_t template_index = kNoTemplateIndex;   // Index of tmpl, if known.
+  // Optional per-update scratch in which the view-inspection strategy keeps
+  // what it derives once per (update, query template); null derives it per
+  // call. Not part of what the update exposes.
+  ViewInspectionMemo* memo = nullptr;
 };
 
 // What the DSSP can see about a cached query result, as limited by the

@@ -286,6 +286,50 @@ TEST(BusBatchTest, RefusedNoticeInsideABatchIsDroppedNotRequeued) {
   EXPECT_EQ(stats.unreachable_failures, 0u);
 }
 
+// Two apps' notices interleave on a dead member's lanes. Each app's lane
+// keeps its own FIFO order through the outage and the replay; notices of
+// different apps carry no order between them.
+TEST(BusBatchTest, InterleavedAppsReplayInPerAppFifoOrderAfterOutage) {
+  service::DsspNode alive_node, dead_node;
+  NodeChannel alive_endpoint(alive_node), dead_endpoint(dead_node);
+  RecordingChannel dead_wire(dead_endpoint);
+  InvalidationBus bus;
+  bus.AddMember(0, &alive_endpoint);
+  bus.AddMember(1, &dead_wire);
+  dead_endpoint.Kill();
+
+  // Nonces follow publish order: a=1, b=2, a=3, b=4, a=5, b=6.
+  const std::vector<std::string> order = {"a", "b", "a", "b", "a", "b"};
+  service::UpdateNotice notice;  // Blind.
+  for (const std::string& app : order) {
+    const PublishOutcome outcome = bus.Publish(app, notice);
+    EXPECT_EQ(outcome.delivered_members, 1);
+    EXPECT_EQ(outcome.failed_members, 1);
+  }
+  EXPECT_EQ(bus.Pending(0), 0u);
+  EXPECT_EQ(bus.Pending(1), order.size());
+
+  dead_endpoint.Revive();
+  const size_t attempts_before = dead_wire.nonces().size();
+  auto replayed = bus.Flush(1);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(*replayed, order.size());
+  EXPECT_EQ(bus.Pending(1), 0u);
+  EXPECT_EQ(dead_endpoint.notices_applied(), order.size());
+
+  // The replay delivered every notice once, each app's in publish order.
+  const std::vector<uint64_t> flushed(
+      dead_wire.nonces().begin() + static_cast<ptrdiff_t>(attempts_before),
+      dead_wire.nonces().end());
+  ASSERT_EQ(flushed.size(), order.size());
+  std::vector<uint64_t> a_nonces, b_nonces;
+  for (uint64_t nonce : flushed) {
+    (order[nonce - 1] == "a" ? a_nonces : b_nonces).push_back(nonce);
+  }
+  EXPECT_EQ(a_nonces, (std::vector<uint64_t>{1, 3, 5}));
+  EXPECT_EQ(b_nonces, (std::vector<uint64_t>{2, 4, 6}));
+}
+
 // ----- Malformed acks from a peer are dropped, never fatal. -----
 
 // A member that answers every frame with one fixed, correctly sealed reply:

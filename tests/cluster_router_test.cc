@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -580,6 +586,248 @@ TEST(ClusterRouterTest, StaleBoundTightensWithBusBacklog) {
   const uint64_t skips_before = router.route_stats().lagging_skips;
   EXPECT_FALSE(router.LookupStale("kv", "k", 1).has_value());
   EXPECT_GT(router.route_stats().lagging_skips, skips_before);
+}
+
+
+// ----- Tenant isolation on the bus (run under -DDSSP_TSAN=ON). -----
+
+// Holds frames of one app inside RoundTrip until released, so a test can
+// park that app's delivery mid-flight on a member.
+class GatingChannel : public service::Channel {
+ public:
+  GatingChannel(service::Channel& inner, std::string gated_app)
+      : inner_(inner), gated_app_(std::move(gated_app)) {}
+
+  service::ChannelOutcome RoundTrip(std::string_view frame) override {
+    auto inner = service::Unseal(frame);
+    if (inner.ok() &&
+        service::PeekType(*inner) == service::MessageType::kInvalidateRequest) {
+      auto request = service::DecodeInvalidateRequest(*inner);
+      if (request.ok() && request->app_id == gated_app_) {
+        std::unique_lock<std::mutex> lock(mu_);
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    return inner_.RoundTrip(frame);
+  }
+
+  bool WaitEntered(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return entered_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  service::Channel& inner_;
+  const std::string gated_app_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(BusTenantIsolationTest, OneTenantsDeliveryDoesNotStallAnother) {
+  service::DsspNode node;
+  NodeChannel endpoint(node);
+  GatingChannel gate(endpoint, "a");
+  InvalidationBus bus;
+  bus.AddMember(0, &gate);
+
+  service::UpdateNotice notice;  // Blind.
+  std::thread parked([&] { bus.Publish("a", notice); });
+  ASSERT_TRUE(gate.WaitEntered(std::chrono::seconds(30)));
+
+  // With "a" parked inside the member's endpoint, another tenant's publish
+  // and the router's backlog reads on the same member still complete.
+  auto other = std::async(std::launch::async, [&] {
+    const PublishOutcome outcome = bus.Publish("b", notice);
+    return std::make_tuple(outcome.delivered_members, bus.Pending(0),
+                           bus.Dropped(0));
+  });
+  const bool completed =
+      other.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  gate.Release();
+  parked.join();
+  ASSERT_TRUE(completed) << "tenant b waited on tenant a's delivery";
+  const auto [delivered, pending, dropped] = other.get();
+  EXPECT_EQ(delivered, 1);
+  // The in-flight notice of "a" is not settled backlog.
+  EXPECT_EQ(pending, 0u);
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(endpoint.notices_applied(), 2u);
+  EXPECT_EQ(bus.Pending(0), 0u);
+}
+
+TEST(BusTenantIsolationTest, LagBoundCountsNoticesAcrossApps) {
+  service::DsspNode node;
+  NodeChannel channel(node);
+  BusOptions options;
+  options.bus_lag = 2;
+  InvalidationBus bus(options);
+  bus.AddMember(0, &channel);
+
+  service::UpdateNotice notice;
+  bus.Publish("a", notice);
+  bus.Publish("b", notice);
+  EXPECT_EQ(bus.Pending(0), 2u);  // One per lane, two on the member.
+  EXPECT_EQ(channel.notices_applied(), 0u);
+  // The third notice, in either lane, exceeds the member's bound: every
+  // lane drains.
+  bus.Publish("a", notice);
+  EXPECT_EQ(bus.Pending(0), 0u);
+  EXPECT_EQ(channel.notices_applied(), 3u);
+}
+
+TEST(NodeChannelTest, ConcurrentDuplicateFramesApplyOnce) {
+  service::DsspNode node;
+  auto app = MakeKvApp("kv", &node);
+  NodeChannel channel(node);
+  constexpr uint64_t kNonces = 300;
+  std::vector<std::string> frames;
+  for (uint64_t nonce = 1; nonce <= kNonces; ++nonce) {
+    frames.push_back(Seal(Encode(MakeInvalidate("kv", nonce))));
+  }
+  // Both threads deliver every frame; each nonce must apply exactly once.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      for (const std::string& frame : frames) {
+        ASSERT_TRUE(channel.RoundTrip(frame).delivered);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(channel.notices_applied(), kNonces);
+  EXPECT_EQ(channel.duplicates_suppressed(), kNonces);
+  EXPECT_EQ(node.stats("kv").updates_observed, kNonces);
+}
+
+// ----- Placement. -----
+
+// Owners (preferred, replica) of cache keys under the router's default seed
+// with four members and replication 2, pinned from the ring before routing
+// became lock-free: placement must not move.
+TEST(ClusterRouterTest, PlacementMatchesPinnedOwners) {
+  struct Pinned {
+    const char* key;
+    int owner;
+    int replica;
+  };
+  const std::vector<Pinned> all_alive = {
+      {"key0", 2, 3},  {"key1", 1, 2},  {"key2", 1, 2},  {"key3", 1, 0},
+      {"key4", 2, 1},  {"key5", 2, 3},  {"key6", 1, 2},  {"key7", 2, 3},
+      {"key8", 0, 1},  {"key9", 0, 1},  {"key10", 2, 0}, {"key11", 0, 1},
+      {"key12", 0, 1}, {"key13", 1, 0}, {"key14", 1, 0}, {"key15", 0, 2}};
+  const std::vector<Pinned> node1_down = {
+      {"key0", 2, 3},  {"key1", 2, 3},  {"key2", 2, 0},  {"key3", 0, 3},
+      {"key4", 2, 0},  {"key5", 2, 3},  {"key6", 2, 3},  {"key7", 2, 3},
+      {"key8", 0, 3},  {"key9", 0, 3},  {"key10", 2, 0}, {"key11", 0, 2},
+      {"key12", 0, 2}, {"key13", 0, 3}, {"key14", 0, 3}, {"key15", 0, 2}};
+
+  ClusterOptions options;  // Default seed and vnodes.
+  options.num_nodes = 4;
+  options.replication = 2;
+  ClusterRouter router(options);
+  auto app = MakeKvApp("kv", &router);
+
+  const auto check = [&](const std::vector<Pinned>& table) {
+    for (const Pinned& pin : table) {
+      router.ClearCache("kv");
+      service::CacheEntry entry;
+      entry.key = pin.key;
+      entry.blob = "blob";
+      router.Store("kv", std::move(entry));
+      EXPECT_EQ(ClusterRouter::ConsumeLastRoute().node, pin.owner)
+          << pin.key;
+      for (int i = 0; i < router.num_nodes(); ++i) {
+        const bool holds = router.node(i).CacheSize("kv") > 0;
+        EXPECT_EQ(holds, i == pin.owner || i == pin.replica)
+            << pin.key << " on node " << i;
+      }
+    }
+  };
+  check(all_alive);
+
+  // Declare node 1 down (each failed delivery is one failure report).
+  router.KillNode(1);
+  while (router.membership().Servable(1)) router.OnUpdate("kv", {});
+  check(node1_down);
+
+  ASSERT_TRUE(router.ReviveNode(1).ok());
+  check(all_alive);
+}
+
+// ----- Multi-tenant concurrency soak with churn (TSan lane). -----
+
+TEST(ClusterConcurrencyTest, TenantsUpdateAndReadThroughKillAndRejoin) {
+  ClusterOptions options;
+  options.num_nodes = 3;
+  options.replication = 2;
+  ClusterRouter router(options);
+  constexpr int kTenants = 3;
+  std::vector<std::unique_ptr<service::ScalableApp>> apps;
+  for (int t = 0; t < kTenants; ++t) {
+    apps.push_back(MakeKvApp("kv" + std::to_string(t), &router));
+    apps.back()->SetWirePolicy(service::WirePolicy{});
+  }
+
+  // One thread per tenant mixes reads and updates of its own app, so every
+  // tenant's invalidations race the others' reads, writes and deliveries,
+  // while a chaos thread kills and rejoins a member.
+  constexpr int kOps = 400;
+  std::atomic<int> running{kTenants};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTenants; ++t) {
+    threads.emplace_back([&, t] {
+      service::ScalableApp& app = *apps[static_cast<size_t>(t)];
+      for (int i = 0; i < kOps; ++i) {
+        const int64_t id = (i * 7 + t * 13) % kKeySpace + 1;
+        if (i % 4 == 3) {
+          ASSERT_TRUE(app.Update("U1", {Value(t * 100000 + i), Value(id)})
+                          .ok());
+        } else {
+          auto result = app.Query("Q1", {Value(id)});
+          ASSERT_TRUE(result.ok());
+          ASSERT_EQ(result->num_rows(), 1u);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (running.load() > 0) {
+      router.KillNode(2);
+      std::this_thread::yield();
+      while (!router.ReviveNode(2).ok()) std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  // Quiesced: nothing is left queued, and every tenant's cache agrees with
+  // its master database on every key.
+  for (int i = 0; i < router.num_nodes(); ++i) {
+    EXPECT_EQ(router.bus().Pending(i), 0u) << "node " << i;
+  }
+  EXPECT_EQ(router.bus().stats().published,
+            static_cast<uint64_t>(kTenants) * (kOps / 4));
+  for (const auto& app : apps) {
+    for (int64_t id = 1; id <= kKeySpace; ++id) {
+      auto result = app->Query("Q1", {Value(id)});
+      ASSERT_TRUE(result.ok());
+      auto direct = app->home().database().ExecuteQuery(
+          app->templates().queries()[0].Bind({Value(id)}));
+      ASSERT_TRUE(direct.ok());
+      EXPECT_TRUE(result->SameResult(*direct))
+          << app->app_id() << " id=" << id;
+    }
+  }
 }
 
 }  // namespace

@@ -61,6 +61,16 @@ catalog::Catalog TestCatalog() {
   return catalog;
 }
 
+// The distinct candidate keys a probe selects from `by_value`.
+std::set<std::string> Candidates(const GroupProbe& probe,
+                                 const ValueKeyMap& by_value) {
+  std::vector<const std::string*> keys;
+  probe.CollectCandidates(by_value, &keys);
+  std::set<std::string> out;
+  for (const std::string* key : keys) out.insert(*key);
+  return out;
+}
+
 // A small template universe exercising every probe kind.
 struct Compiled {
   catalog::Catalog catalog = TestCatalog();
@@ -177,8 +187,7 @@ TEST(ViewIndexPlanTest, EqualityProbeSelectsOnlyMatchingBucket) {
 
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value(5)}));
   ASSERT_EQ(probe.mode, GroupProbe::Mode::kProbe);
-  std::set<std::string> out;
-  probe.CollectCandidates(by_value, &out);
+  const std::set<std::string> out = Candidates(probe, by_value);
   EXPECT_EQ(out, (std::set<std::string>{"k5a", "k5b"}));
 }
 
@@ -197,8 +206,7 @@ TEST(ViewIndexPlanTest, RangeDiscriminatorProbeIsConservative) {
 
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value(5)}));
   ASSERT_EQ(probe.mode, GroupProbe::Mode::kProbe);
-  std::set<std::string> out;
-  probe.CollectCandidates(by_value, &out);
+  const std::set<std::string> out = Candidates(probe, by_value);
   // The string-keyed entry is outside the numeric type class: a numeric
   // point never satisfies a string constraint conjunction.
   EXPECT_EQ(out, (std::set<std::string>{"k1", "k5"}));
@@ -215,8 +223,7 @@ TEST(ViewIndexPlanTest, NullProbeOperandSelectsNothing) {
   // fire, so no indexed entry needs visiting.
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value()}));
   ASSERT_EQ(probe.mode, GroupProbe::Mode::kProbe);
-  std::set<std::string> out;
-  probe.CollectCandidates(by_value, &out);
+  const std::set<std::string> out = Candidates(probe, by_value);
   EXPECT_TRUE(out.empty());
 }
 
